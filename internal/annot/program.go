@@ -142,7 +142,7 @@ func (c *compiler) name(s string) int32 {
 // Compile translates e into an opcode program whose identifier
 // references are resolved against env. Shapes Expr.Eval would reject
 // at runtime (nil or empty nodes, unknown operators) are compile
-// errors here — callers fall back to tree interpretation for them.
+// errors here, which the runtime reports as registration errors.
 func Compile(e *Expr, env CompileEnv) (ExprProg, error) {
 	var c compiler
 	if err := c.compile(e, env); err != nil {

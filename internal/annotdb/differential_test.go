@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"lxfi/internal/annot"
 	"lxfi/internal/blockdev"
 	"lxfi/internal/caps"
 	"lxfi/internal/core"
@@ -73,12 +74,12 @@ func diffTraces(t *testing.T, what, phase string, tree, compiled []core.ActionTr
 }
 
 // TestCompiledProgramsMatchTreeInterpreter is the crossing
-// differential: for every annotated kernel export and every registered
-// function-pointer type in a fully-booted system (all ten Fig. 9
-// modules), the bind-time compiled action program and the original
-// expression-tree interpreter must produce identical grants, revokes,
-// checks, and violations on a set of synthetic crossings — and
-// identical principal-expression values.
+// differential: for every annotated kernel export, every registered
+// function-pointer type, and every annotated module function in a
+// fully-booted system (all ten Fig. 9 modules), the bind-time compiled
+// action program and the expression-tree oracle must produce identical
+// grants, revokes, checks, and violations on a set of synthetic
+// crossings — and identical principal-expression values.
 func TestCompiledProgramsMatchTreeInterpreter(t *testing.T) {
 	sys, err := BootAll(core.Enforce)
 	if err != nil {
@@ -120,82 +121,87 @@ func TestCompiledProgramsMatchTreeInterpreterVFS(t *testing.T) {
 	runDifferential(t, k.Sys, froms)
 }
 
+// tracer is one annotated declaration under the differential: a kernel
+// export, a function-pointer type, or a module function.
+type tracer interface {
+	TraceCrossing(t *core.Thread, phase string, args []uint64, ret uint64, from *caps.Principal) (tree, compiled []core.ActionTrace)
+	TracePrincipalValue(t *core.Thread, args []uint64) (kind annot.PrincipalKind, treeVal, progVal int64, treeErr, progErr error)
+}
+
+type traceCase struct {
+	what    string
+	decl    tracer
+	nparams int
+}
+
+// annotatedDecls lists every declaration with a non-empty annotation
+// set, in a stable order: the lcg stream is shared, so map-order
+// iteration would hand each declaration different synthetic args every
+// run and break the reproducibility the seed promises.
+func annotatedDecls(sys *core.System) (cases []traceCase, modFuncs int) {
+	kfuncs := sys.KernelFuncs()
+	for _, name := range sortedKeys(kfuncs) {
+		if fn := kfuncs[name]; !fn.Annot.Empty() {
+			cases = append(cases, traceCase{"kernel " + name, fn, len(fn.Params)})
+		}
+	}
+	ftypes := sys.FPtrTypes()
+	for _, name := range sortedKeys(ftypes) {
+		ft := ftypes[name]
+		cases = append(cases, traceCase{"fptr " + name, ft, len(ft.Params)})
+	}
+	mods := sys.Modules()
+	for _, mname := range sortedKeys(mods) {
+		funcs := mods[mname].Funcs
+		for _, name := range sortedKeys(funcs) {
+			if fn := funcs[name]; !fn.Annot.Empty() {
+				cases = append(cases, traceCase{"module " + mname + "." + name, fn, len(fn.Params)})
+				modFuncs++
+			}
+		}
+	}
+	return cases, modFuncs
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 func runDifferential(t *testing.T, sys *core.System, froms []*principalCase) {
 	t.Helper()
 	th := sys.NewThread("diff")
 	r := lcg(0x1ee7)
-	covered, progMissing := 0, 0
-	// Iterate in sorted order: the lcg stream is shared, so map-order
-	// iteration would hand each export different synthetic args every
-	// run and break the reproducibility the seed promises.
-	kfuncs := sys.KernelFuncs()
-	var knames []string
-	for name := range kfuncs {
-		knames = append(knames, name)
-	}
-	sort.Strings(knames)
-	for _, name := range knames {
-		fn := kfuncs[name]
-		if fn.Annot == nil || fn.Annot.Empty() {
-			continue
-		}
-		covered++
-		for _, args := range synthArgs(&r, len(fn.Params)) {
+	cases, modFuncs := annotatedDecls(sys)
+	for _, c := range cases {
+		for _, args := range synthArgs(&r, c.nparams) {
 			for _, fc := range froms {
 				for _, phase := range []string{"pre", "post"} {
 					for _, ret := range rets {
-						tree, compiled, hasProg := fn.TraceCrossing(th, phase, args, ret, fc.p)
-						if !hasProg {
-							progMissing++
-							continue
-						}
-						diffTraces(t, fmt.Sprintf("kernel %s (from %s, args %x, ret %d)", name, fc.name, args, ret),
+						tree, compiled := c.decl.TraceCrossing(th, phase, args, ret, fc.p)
+						diffTraces(t, fmt.Sprintf("%s (from %s, args %x, ret %d)", c.what, fc.name, args, ret),
 							phase, tree, compiled)
 					}
 				}
 			}
-		}
-	}
-	ftypes := sys.FPtrTypes()
-	var fnames []string
-	for name := range ftypes {
-		fnames = append(fnames, name)
-	}
-	sort.Strings(fnames)
-	for _, name := range fnames {
-		ft := ftypes[name]
-		covered++
-		for _, args := range synthArgs(&r, len(ft.Params)) {
-			for _, fc := range froms {
-				for _, phase := range []string{"pre", "post"} {
-					for _, ret := range rets {
-						tree, compiled, hasProg := ft.TraceCrossing(th, phase, args, ret, fc.p)
-						if !hasProg {
-							progMissing++
-							continue
-						}
-						diffTraces(t, fmt.Sprintf("fptr %s (from %s, args %x, ret %d)", name, fc.name, args, ret),
-							phase, tree, compiled)
-					}
-				}
-				kind, tv, pv, terr, perr, hasProg := ft.TracePrincipalValue(th, args)
-				if !hasProg {
-					continue
-				}
-				_ = kind
-				if (terr == nil) != (perr == nil) || (terr == nil && tv != pv) {
-					t.Fatalf("fptr %s principal diverges on args %x: tree (%d,%v) vs compiled (%d,%v)",
-						name, args, tv, terr, pv, perr)
-				}
+			_, tv, pv, terr, perr := c.decl.TracePrincipalValue(th, args)
+			if (terr == nil) != (perr == nil) || (terr == nil && tv != pv) {
+				t.Fatalf("%s principal diverges on args %x: tree (%d,%v) vs compiled (%d,%v)",
+					c.what, args, tv, terr, pv, perr)
 			}
 		}
 	}
-	if covered < 15 {
-		t.Fatalf("differential covered only %d annotated exports — boot surface shrank?", covered)
+	if len(cases)-modFuncs < 15 {
+		t.Fatalf("differential covered only %d annotated exports — boot surface shrank?", len(cases)-modFuncs)
 	}
-	if progMissing > 0 {
-		t.Fatalf("%d annotated declarations have no compiled program (tree fallback in production)", progMissing)
+	if modFuncs == 0 {
+		t.Fatal("differential covered no annotated module function")
 	}
+	t.Logf("differential: %d declarations, %d of them module functions", len(cases), modFuncs)
 }
 
 type principalCase struct {
@@ -227,10 +233,7 @@ func TestGrantingActionsMatchOnLiveState(t *testing.T) {
 	}
 	sys.Caps.Grant(shared, caps.WriteCap(obj, 64))
 	kfree, _ := sys.FuncByName("kfree")
-	tree, compiled, hasProg := kfree.TraceCrossing(th, "pre", []uint64{uint64(obj)}, 0, shared)
-	if !hasProg {
-		t.Fatal("kfree has no compiled program")
-	}
+	tree, compiled := kfree.TraceCrossing(th, "pre", []uint64{uint64(obj)}, 0, shared)
 	diffTraces(t, "kernel kfree (owned)", "pre", tree, compiled)
 	if len(tree) == 0 || tree[0].Op != "transfer" {
 		t.Fatalf("expected an owned transfer trace, got %v", tree)
@@ -238,7 +241,7 @@ func TestGrantingActionsMatchOnLiveState(t *testing.T) {
 
 	// copy_from_user's pre(check(write, to, n)) with an owned window.
 	cfu, _ := sys.FuncByName("copy_from_user")
-	tree, compiled, _ = cfu.TraceCrossing(th, "pre", []uint64{uint64(obj), 0x1000, 64}, 0, shared)
+	tree, compiled = cfu.TraceCrossing(th, "pre", []uint64{uint64(obj), 0x1000, 64}, 0, shared)
 	diffTraces(t, "kernel copy_from_user (owned)", "pre", tree, compiled)
 	if len(tree) == 0 || tree[0].Op != "check" {
 		t.Fatalf("expected an owned check trace, got %v", tree)

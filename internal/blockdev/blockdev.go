@@ -127,6 +127,10 @@ type Layer struct {
 	// test uses to prove a remount no longer scans the whole table.
 	sectorReads  atomic.Uint64
 	sectorWrites atomic.Uint64
+
+	// Bound indirect-call gates for the dm_target_type slots, resolved
+	// once at init.
+	gCtr, gDtr, gMap *core.IndGate
 }
 
 // Init builds the block layer.
@@ -188,6 +192,9 @@ func Init(k *kernel.Kernel) *Layer {
 		[]core.Param{core.P("ti", "struct dm_target *"), core.P("bio", "struct bio *")},
 		"principal(ti) pre(transfer(bio_caps(bio))) "+
 			"post(if (return == 1) transfer(bio_caps(bio)))")
+	l.gCtr = sys.BindIndirect(DmCtr)
+	l.gDtr = sys.BindIndirect(DmDtr)
+	l.gMap = sys.BindIndirect(DmMap)
 
 	l.registerExports()
 	return l
@@ -540,7 +547,7 @@ func (l *Layer) CreateTarget(t *core.Thread, ops mem.Addr, arg, begin, length, d
 	must(sys.AS.WriteU64(ti+mem.Addr(l.tgt.Off("begin")), begin))
 	must(sys.AS.WriteU64(ti+mem.Addr(l.tgt.Off("len")), length))
 	must(sys.AS.WriteU64(ti+mem.Addr(l.tgt.Off("dev")), dev))
-	ret, err := t.IndirectCall(l.OpsSlot(ops, "ctr"), DmCtr, uint64(ti), arg)
+	ret, err := l.gCtr.Call2(t, l.OpsSlot(ops, "ctr"), uint64(ti), arg)
 	if err != nil {
 		return 0, err
 	}
@@ -562,7 +569,7 @@ func (l *Layer) RemoveTarget(t *core.Thread, ti mem.Addr) error {
 	if !ok {
 		return fmt.Errorf("blockdev: unknown target %#x", uint64(ti))
 	}
-	if _, err := t.IndirectCall(l.OpsSlot(ops, "dtr"), DmDtr, uint64(ti)); err != nil {
+	if _, err := l.gDtr.Call1(t, l.OpsSlot(ops, "dtr"), uint64(ti)); err != nil {
 		return err
 	}
 	l.mu.Lock()
@@ -580,7 +587,7 @@ func (l *Layer) Submit(t *core.Thread, ti, bio mem.Addr) error {
 	if !ok {
 		return fmt.Errorf("blockdev: unknown target %#x", uint64(ti))
 	}
-	ret, err := t.IndirectCall(l.OpsSlot(ops, "map"), DmMap, uint64(ti), uint64(bio))
+	ret, err := l.gMap.Call2(t, l.OpsSlot(ops, "map"), uint64(ti), uint64(bio))
 	if err != nil {
 		return err
 	}

@@ -76,11 +76,11 @@ func (t *Thread) callKernelDecl(fn *FuncDecl, args []uint64) (uint64, error) {
 			return 0, t.violation("call", fn.Addr,
 				fmt.Sprintf("no CALL capability for %s", fn.Name))
 		}
-		env = t.getEnv(fn.Params, args)
+		env = t.getEnv(args)
 		defer t.putEnv(env)
 		// pre: ownership checked on the caller (module); grants flow
 		// caller -> callee (kernel).
-		if err := t.runPre(fn, true, env, callerPrin, t.Sys.Caps.Trusted, callerMod); err != nil {
+		if err := t.runProgram("pre", fn.Name, fn.prog.pre, env, callerPrin, t.Sys.Caps.Trusted, callerMod); err != nil {
 			return 0, err
 		}
 	}
@@ -98,7 +98,7 @@ func (t *Thread) callKernelDecl(fn *FuncDecl, args []uint64) (uint64, error) {
 		env.ret, env.hasRet = ret, true
 		// post: ownership checked on the callee (kernel, trivially true);
 		// grants flow callee -> caller.
-		if err := t.runPost(fn, true, env, t.Sys.Caps.Trusted, callerPrin, callerMod); err != nil {
+		if err := t.runProgram("post", fn.Name, fn.prog.post, env, t.Sys.Caps.Trusted, callerPrin, callerMod); err != nil {
 			return ret, err
 		}
 	}
@@ -203,24 +203,6 @@ func (t *Thread) panicViolation(m *Module, p *caps.Principal, fn *FuncDecl, rec 
 	return fmt.Errorf("%w (%s): %s", ErrModuleDead, m.Name, detail)
 }
 
-// runPre and runPost execute one side of a crossing's contract. The
-// compiled action program runs when the declaration has one and the
-// caller did not substitute a foreign parameter list (useProg); the
-// tree interpreter remains the fallback for that cold case.
-func (t *Thread) runPre(fn *FuncDecl, useProg bool, env *argEnv, from, to *caps.Principal, blame *Module) error {
-	if useProg && fn.prog != nil {
-		return t.runProgram("pre", fn.Name, fn.prog.pre, env, from, to, blame)
-	}
-	return t.runActions("pre", fn.Name, fn.Annot.Pre, env, from, to, blame)
-}
-
-func (t *Thread) runPost(fn *FuncDecl, useProg bool, env *argEnv, from, to *caps.Principal, blame *Module) error {
-	if useProg && fn.prog != nil {
-		return t.runProgram("post", fn.Name, fn.prog.post, env, from, to, blame)
-	}
-	return t.runActions("post", fn.Name, fn.Annot.Post, env, from, to, blame)
-}
-
 // CallModule invokes a module function by name from the current context
 // (normally the core kernel, e.g. a driver probe or an ops callback
 // reached through a checked indirect call).
@@ -234,20 +216,11 @@ func (t *Thread) CallModule(m *Module, fname string, args ...uint64) (uint64, er
 }
 
 func (t *Thread) callModuleDecl(m *Module, fn *FuncDecl, args []uint64) (uint64, error) {
-	return t.callModuleDeclParams(m, fn, fn.Params, false, args)
-}
-
-// callModuleDeclParams is callModuleDecl with the effective parameter
-// list supplied by the caller (an indirect call substitutes the slot
-// type's parameters when the function declaration carries none;
-// substituted=true then forces the tree interpreter, whose by-name
-// argument binding is what the substitution relies on).
-func (t *Thread) callModuleDeclParams(m *Module, fn *FuncDecl, params []Param, substituted bool, args []uint64) (uint64, error) {
 	// Entry protocol (reload.go): register the crossing in the module's
 	// active counter, park if a reload is quiescing the module, and
 	// re-bind to the successor generation if it has been retired.
 	var err error
-	m, fn, params, substituted, err = t.enterModule(m, fn, params, substituted)
+	m, fn, err = t.enterModule(m, fn)
 	if err != nil {
 		return 0, err
 	}
@@ -258,7 +231,6 @@ func (t *Thread) callModuleDeclParams(m *Module, fn *FuncDecl, params []Param, s
 	}
 	enforcing := t.Sys.Mon.Enforcing()
 	callerPrin := t.cur
-	useProg := !substituted
 
 	traced := enforcing && t.rec != nil
 	var tc traceCtx
@@ -270,23 +242,18 @@ func (t *Thread) callModuleDeclParams(m *Module, fn *FuncDecl, params []Param, s
 	var callee *caps.Principal
 	if enforcing {
 		t.Sys.Mon.Stats.FuncEntries.Add(1)
-		env = t.getEnv(params, args)
+		env = t.getEnv(args)
 		defer t.putEnv(env)
 		var err error
 		// The wrapper "sets the appropriate principal" (§4.2) from the
 		// principal(...) annotation before running the module function.
-		if useProg && fn.prog != nil {
-			callee, err = t.resolvePrincipalProg(m, fn.prog, env)
-		} else {
-			callee, err = t.resolvePrincipal(m, fn.Annot, env)
-		}
-		if err != nil {
+		if callee, err = t.calleePrincipal(m, fn.prog, env); err != nil {
 			return 0, t.violationAt(m, m.Set.Shared(), "annotation", fn.Addr, err.Error())
 		}
 		t.Sys.Mon.Stats.PrincipalSwitches.Add(1)
 		// pre: ownership checked on the caller; grants flow caller ->
 		// callee principal.
-		if err := t.runPre(fn, useProg, env, callerPrin, callee, t.curMod); err != nil {
+		if err := t.runProgram("pre", fn.Name, fn.prog.pre, env, callerPrin, callee, t.curMod); err != nil {
 			return 0, err
 		}
 	}
@@ -304,7 +271,7 @@ func (t *Thread) callModuleDeclParams(m *Module, fn *FuncDecl, params []Param, s
 		env.ret, env.hasRet = ret, true
 		// post: ownership checked on the callee (module); grants flow
 		// callee -> caller.
-		if err := t.runPost(fn, useProg, env, callee, callerPrin, m); err != nil {
+		if err := t.runProgram("post", fn.Name, fn.prog.post, env, callee, callerPrin, m); err != nil {
 			return ret, err
 		}
 	}
@@ -321,25 +288,49 @@ func (t *Thread) callModuleDeclParams(m *Module, fn *FuncDecl, params []Param, s
 // passes the *address of the original function pointer* (Fig. 5), so the
 // runtime can consult the writer set for that slot.
 // Hot kernel-side callers should bind an IndGate at init instead
-// (gate.go); this path repeats the type lookup per call.
+// (gate.go); this path repeats the type lookup per call and runs the
+// same body with no slot cache.
 func (t *Thread) IndirectCall(slot mem.Addr, typeName string, args ...uint64) (uint64, error) {
 	ft, ok := t.Sys.FPtrType(typeName)
 	if !ok {
 		panic("core: indirect call through unregistered fptr type " + typeName)
 	}
-	return t.indirectCallFT(slot, ft, args)
+	return t.indirectCall(ft, nil, slot, args)
 }
 
-// indirectCallFT is IndirectCall past type resolution — the body every
-// bound IndGate jumps straight into.
-func (t *Thread) indirectCallFT(slot mem.Addr, ft *FPtrType, args []uint64) (uint64, error) {
+// indirectCall is the kernel-side checked indirect call past type
+// resolution. cache, when non-nil, is a bound IndGate's (slot → target)
+// cache. A hit must match the slot, the loaded target value, the
+// enforcement mode, and the capability epoch; any capability mutation
+// (grant, revoke, module load/unload/retire, instance drop) bumps the
+// epoch and invalidates every entry, exactly like the per-thread check
+// caches. A valid hit skips the writer-set probe, the grantee sweep,
+// and the System.mu function lookups — the last registry read lock on
+// the kernel-side indirect hot path.
+func (t *Thread) indirectCall(ft *FPtrType, cache *indCache, slot mem.Addr, args []uint64) (uint64, error) {
 	target, err := t.Sys.AS.ReadU64(slot)
 	if err != nil {
 		return 0, fmt.Errorf("core: indirect call: cannot load pointer at %#x: %v", uint64(slot), err)
 	}
 	taddr := mem.Addr(target)
+	enforcing := t.mon.Enforcing()
 
-	if t.Sys.Mon.Enforcing() {
+	idx := (uint64(slot) >> 3) & (indCacheSlots - 1)
+	// The epoch is read before the checks run: a mutation racing the
+	// fill leaves the stored entry already stale.
+	epoch := t.csys.Epoch()
+	if cache != nil {
+		if e := cache[idx].Load(); e != nil && e.slot == slot && e.target == target &&
+			e.enforcing == enforcing && e.epoch == epoch {
+			if enforcing {
+				t.Sys.Mon.Stats.IndCallAll.Add(1)
+				t.Sys.Mon.Stats.IndCacheHits.Add(1)
+			}
+			return t.dispatch(e.fn, e.m, args)
+		}
+	}
+
+	if enforcing {
 		t.Sys.Mon.Stats.IndCallAll.Add(1)
 		// Fast path: if no principal was ever granted WRITE access to the
 		// slot since it was last zeroed, no module can have supplied the
@@ -353,7 +344,21 @@ func (t *Thread) indirectCallFT(slot mem.Addr, ft *FPtrType, args []uint64) (uin
 		}
 	}
 
-	return t.dispatch(taddr, ft, args)
+	fn, ok := t.Sys.FuncByAddr(taddr)
+	if !ok {
+		// A wild pointer: in the real kernel this is an oops (or, if the
+		// attacker mapped the page, arbitrary code execution — modeled by
+		// RegisterUserFuncAt).
+		return 0, fmt.Errorf("core: kernel oops: indirect call to invalid address %#x", uint64(target))
+	}
+	var m *Module
+	if !fn.IsKernel() && !fn.IsUser() {
+		m, _ = t.Sys.Module(fn.Module)
+	}
+	if cache != nil {
+		cache[idx].Store(&indCacheEnt{slot: slot, target: target, epoch: epoch, enforcing: enforcing, fn: fn, m: m})
+	}
+	return t.dispatch(fn, m, args)
 }
 
 // checkIndCallSlow validates a module-writable function-pointer slot:
@@ -383,7 +388,7 @@ func (t *Thread) checkIndCallSlow(slot, target mem.Addr, ft *FPtrType) error {
 		// Annotation-hash match (§4.1): the module must not launder a
 		// function through a pointer type with different annotations.
 		// Per §7, the check applies when the target has annotations.
-		if fn.Annot != nil && fn.Annot.Hash() != ft.Annot.Hash() {
+		if fn.Annot != nil && fn.annotHash != ft.annotHash {
 			return t.violationAt(blame, w, "indcall", target,
 				fmt.Sprintf("annotation mismatch: %s has %q but slot type %s has %q",
 					fn, fn.Annot, ft.Name, ft.Annot))
@@ -392,23 +397,11 @@ func (t *Thread) checkIndCallSlow(slot, target mem.Addr, ft *FPtrType) error {
 	return nil
 }
 
-// dispatch transfers control to the function at target.
-func (t *Thread) dispatch(target mem.Addr, ft *FPtrType, args []uint64) (uint64, error) {
-	fn, ok := t.Sys.FuncByAddr(target)
-	if !ok {
-		// A wild pointer: in the real kernel this is an oops (or, if the
-		// attacker mapped the page, arbitrary code execution — modeled by
-		// RegisterUserFuncAt).
-		return 0, fmt.Errorf("core: kernel oops: indirect call to invalid address %#x", uint64(target))
-	}
-	return t.dispatchFn(fn, nil, ft, args)
-}
-
-// dispatchFn is dispatch past target resolution. m, when non-nil, is a
-// pre-resolved module for fn (the IndGate slot cache supplies it); the
-// entry protocol revalidates it, so a generation staled by a reload is
-// still redirected correctly.
-func (t *Thread) dispatchFn(fn *FuncDecl, m *Module, ft *FPtrType, args []uint64) (uint64, error) {
+// dispatch transfers control to fn, the resolved target of an indirect
+// call. m, when non-nil, is a pre-resolved module for fn (the IndGate
+// slot cache supplies it); the entry protocol revalidates it, so a
+// generation staled by a reload is still redirected correctly.
+func (t *Thread) dispatch(fn *FuncDecl, m *Module, args []uint64) (uint64, error) {
 	switch {
 	case fn.IsUser():
 		// The kernel jumping to user-mapped code: the exploit payload runs
@@ -425,85 +418,19 @@ func (t *Thread) dispatchFn(fn *FuncDecl, m *Module, ft *FPtrType, args []uint64
 		return ret, nil
 	case fn.IsKernel():
 		return t.callKernelDecl(fn, args)
-	default:
-		if m == nil {
-			var ok bool
-			m, ok = t.Sys.Module(fn.Module)
-			if !ok {
-				// Mid-reload window: the old generation is retired and the
-				// fresh one not yet published. The owning module object is
-				// still reachable from the declaration; the entry protocol
-				// parks the crossing there until the reload resolves, so
-				// no in-flight crossing is dropped.
-				if fn.owner == nil {
-					return 0, fmt.Errorf("core: function %s belongs to unloaded module", fn)
-				}
-				m = fn.owner
-			}
+	}
+	if m == nil {
+		// Mid-reload window: the old generation is retired and the fresh
+		// one not yet published. The owning module object is still
+		// reachable from the declaration; the entry protocol parks the
+		// crossing there until the reload resolves, so no in-flight
+		// crossing is dropped.
+		if fn.owner == nil {
+			return 0, fmt.Errorf("core: function %s belongs to unloaded module", fn)
 		}
-		// Apply the *slot type's* parameter names if the function carries
-		// none (annotation propagation already guaranteed hash equality).
-		// The declaration itself is shared between threads, so the
-		// substitution is made per call rather than written back into it.
-		params := fn.Params
-		if len(params) == 0 {
-			return t.callModuleDeclParams(m, fn, ft.Params, true, args)
-		}
-		return t.callModuleDeclParams(m, fn, params, false, args)
+		m = fn.owner
 	}
-}
-
-// indirectCallGate is the bound IndGate entry: indirectCallFT plus the
-// per-gate (slot → target) cache. A hit must match the slot, the
-// loaded target value, the enforcement mode, and the capability epoch;
-// any capability mutation (grant, revoke, module load/unload/retire,
-// instance drop) bumps the epoch and invalidates every entry, exactly
-// like the per-thread check caches. A valid hit skips the writer-set
-// probe, the grantee sweep, and the System.mu function lookups — the
-// last registry read lock on the kernel-side indirect hot path.
-func (t *Thread) indirectCallGate(g *IndGate, slot mem.Addr, args []uint64) (uint64, error) {
-	target, err := t.Sys.AS.ReadU64(slot)
-	if err != nil {
-		return 0, fmt.Errorf("core: indirect call: cannot load pointer at %#x: %v", uint64(slot), err)
-	}
-	taddr := mem.Addr(target)
-	enforcing := t.mon.Enforcing()
-
-	idx := (uint64(slot) >> 3) & (indCacheSlots - 1)
-	// The epoch is read before the checks run: a mutation racing the
-	// fill leaves the stored entry already stale.
-	epoch := t.csys.Epoch()
-	if e := g.cache[idx].Load(); e != nil && e.slot == slot && e.target == target &&
-		e.enforcing == enforcing && e.epoch == epoch {
-		if enforcing {
-			t.Sys.Mon.Stats.IndCallAll.Add(1)
-			t.Sys.Mon.Stats.IndCacheHits.Add(1)
-		}
-		return t.dispatchFn(e.fn, e.m, g.ft, args)
-	}
-
-	if enforcing {
-		t.Sys.Mon.Stats.IndCallAll.Add(1)
-		if t.Sys.Mon.DisableWriterSetOpt || !t.Sys.WST.Empty(slot) {
-			t.Sys.Mon.Stats.IndCallSlow.Add(1)
-			if err := t.checkIndCallSlow(slot, taddr, g.ft); err != nil {
-				return 0, err
-			}
-		}
-	}
-
-	fn, ok := t.Sys.FuncByAddr(taddr)
-	if !ok {
-		return 0, fmt.Errorf("core: kernel oops: indirect call to invalid address %#x", uint64(target))
-	}
-	e := &indCacheEnt{slot: slot, target: target, epoch: epoch, enforcing: enforcing, fn: fn}
-	if !fn.IsKernel() && !fn.IsUser() {
-		if m, ok := t.Sys.Module(fn.Module); ok {
-			e.m = m
-		}
-	}
-	g.cache[idx].Store(e)
-	return t.dispatchFn(fn, e.m, g.ft, args)
+	return t.callModuleDecl(m, fn, args)
 }
 
 // CallAddr is the module-side indirect call: module code invoking a
@@ -528,7 +455,7 @@ func (t *Thread) callAddrFT(target mem.Addr, ft *FPtrType, args []uint64) (uint6
 			return 0, t.violation("call", target,
 				fmt.Sprintf("module indirect call: no CALL capability for %#x", uint64(target)))
 		}
-		if known && fn.Annot != nil && fn.Annot.Hash() != ft.Annot.Hash() {
+		if known && fn.Annot != nil && fn.annotHash != ft.annotHash {
 			return 0, t.violation("call", target,
 				fmt.Sprintf("module indirect call: annotation mismatch for %s via %s", fn, ft.Name))
 		}

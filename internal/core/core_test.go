@@ -552,6 +552,47 @@ func TestIndirectCallModulePointerChecked(t *testing.T) {
 		t.Fatalf("slow path expected for module-writable slot: %+v", d)
 	}
 
+	// The handler took ops.handler's parameters at load time, so its
+	// principal(dev) runs as dev's instance principal.
+	var ran *caps.Principal
+	m2, err := f.sys.LoadModule(core.ModuleSpec{
+		Name:     "drv2",
+		DataSize: 4096,
+		Funcs: []core.FuncSpec{{
+			Name: "handler", Type: "ops.handler",
+			Impl: func(th *core.Thread, args []uint64) uint64 {
+				ran = th.CurrentPrincipal()
+				return 0
+			},
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slot2 := f.sys.Statics.Alloc(8, 8)
+	if err := f.sys.AS.WriteU64(slot2, uint64(m2.Funcs["handler"].Addr)); err != nil {
+		t.Fatal(err)
+	}
+	dev := f.sys.Statics.Alloc(64, 8)
+	if _, err := f.t.IndirectCall(slot2, "ops.handler", uint64(dev), 0); err != nil {
+		t.Fatal(err)
+	}
+	if want := m2.Set.Instance(dev); ran != want {
+		t.Fatalf("handler ran as %v, want %v", ran, want)
+	}
+	// Without Params or Type, nothing binds dev: the load itself fails
+	// and names the unbound identifier.
+	_, err = f.sys.LoadModule(core.ModuleSpec{
+		Name: "drv3",
+		Funcs: []core.FuncSpec{{
+			Name: "handler", Annot: "principal(dev)",
+			Impl: func(th *core.Thread, args []uint64) uint64 { return 0 },
+		}},
+	})
+	if err == nil || !strings.Contains(err.Error(), `"dev"`) {
+		t.Fatalf("unbound principal(dev) accepted: %v", err)
+	}
+
 	// Attack: module redirects the slot to a kernel function it cannot
 	// call (no CALL capability for spin_lock_init).
 	target, _ := f.sys.FuncByName("spin_lock_init")

@@ -50,10 +50,12 @@ type FuncDecl struct {
 	Addr  mem.Addr
 
 	// prog is the bind-time compiled form of Annot (program.go): the
-	// action program the crossing paths execute instead of
-	// re-interpreting the annotation trees per call. nil when Annot is
-	// nil or could not be lowered (the tree interpreter then runs).
+	// action program every crossing into or out of the function runs.
+	// nil exactly when Annot is nil.
 	prog *annotProg
+	// annotHash is Annot.Hash(), computed once at registration for the
+	// indirect-call annotation match (§4.1).
+	annotHash uint64
 
 	// owner is the Module instance the declaration was registered for
 	// (nil for kernel and user functions). The crossing entry protocol
@@ -90,26 +92,35 @@ type FPtrType struct {
 	Params []Param
 	Annot  *annot.Set
 
-	// prog is the compiled action program of Annot. Production
-	// crossings run the *target function's* program; a dispatch that
-	// substitutes this type's parameter list into a declaration
-	// without one deliberately falls back to the tree interpreter
-	// (the by-name binding is what the substitution relies on, and
-	// hash equality between fn and slot annotations is not enforced
-	// on the writer-free path). The differential tracers (diff.go)
-	// execute prog to hold it equal to the tree.
+	// prog is the compiled action program of Annot. Crossings run the
+	// *target function's* program, whose parameters were bound from
+	// this type at load time (annotation propagation, §4.2); the
+	// differential tracers (diff.go) execute prog to hold it equal to
+	// the tree.
 	prog *annotProg
+	// annotHash is Annot.Hash(), computed once at registration.
+	annotHash uint64
 }
+
+// AnnotHash returns the annotation hash computed at registration.
+func (f *FuncDecl) AnnotHash() uint64 { return f.annotHash }
+
+// AnnotHash returns the annotation hash computed at registration.
+func (ft *FPtrType) AnnotHash() uint64 { return ft.annotHash }
 
 // FuncSpec describes one module function for loading.
 type FuncSpec struct {
-	Name   string
+	Name string
+	// Params binds the annotation's argument names. Every lower-case
+	// identifier the annotation names must be one of them (or of the
+	// Type's parameters, see below), or the load fails.
 	Params []Param
 	// Annot is an explicit annotation source, or "".
 	Annot string
 	// Type names an FPtrType to propagate annotations from (the loader
 	// implements §4.2 "annotation propagation"). If both Annot and Type
-	// are given, they must agree exactly.
+	// are given, they must agree exactly. A function with no Params of
+	// its own takes the type's.
 	Type string
 	Impl Impl
 }

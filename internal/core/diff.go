@@ -1,15 +1,16 @@
-// Differential tracing of the two annotation executors.
+// Differential tracing of compiled action programs against their
+// annotation trees.
 //
-// The crossing pipeline has two ways to run an annotation contract:
-// the expression-tree interpreter (actions.go, the original executor
-// and the fallback for parameter-substituted indirect calls) and the
-// bind-time compiled action programs (program.go, the hot path). The
-// tracers here dry-run both on the same synthetic crossing — resolving
-// conditions, capabilities, and ownership exactly as the real
-// executors do, but recording grants/revokes/violations instead of
-// applying them — so a test can assert the executors agree for every
-// annotated export in a booted system (internal/annotdb runs that
-// differential over the full Fig. 9 module set).
+// Crossings run only the bind-time compiled action programs
+// (program.go). The expression-tree interpreter kept here is their
+// test oracle: it evaluates the parsed annot.Set directly, binding
+// argument names through its own by-name environment. The tracers
+// dry-run both on the same synthetic crossing — resolving conditions,
+// capabilities, and ownership exactly as the real executor does, but
+// recording grants/revokes/violations instead of applying them — so a
+// test can assert that every registered program agrees with its tree
+// (internal/annotdb runs that differential over the full Fig. 9
+// module set: kernel exports, fptr types, and module functions).
 package core
 
 import (
@@ -17,6 +18,7 @@ import (
 
 	"lxfi/internal/annot"
 	"lxfi/internal/caps"
+	"lxfi/internal/mem"
 )
 
 // ActionTrace is one recorded annotation effect: Op is the action
@@ -30,79 +32,99 @@ type ActionTrace struct {
 }
 
 // TraceCrossing dry-runs one phase ("pre" or "post") of f's annotation
-// contract for a synthetic crossing, under both executors. from is the
-// principal whose ownership the phase checks. hasProg reports whether
-// a compiled program exists (it always should for registered
-// declarations; false means the tree fallback is in production use).
-func (f *FuncDecl) TraceCrossing(t *Thread, phase string, args []uint64, ret uint64, from *caps.Principal) (tree, compiled []ActionTrace, hasProg bool) {
+// contract for a synthetic crossing, under the tree oracle and the
+// compiled program. from is the principal whose ownership the phase
+// checks.
+func (f *FuncDecl) TraceCrossing(t *Thread, phase string, args []uint64, ret uint64, from *caps.Principal) (tree, compiled []ActionTrace) {
 	return t.traceBoth(f.Name, f.Params, f.Annot, f.prog, phase, args, ret, from)
 }
 
 // TraceCrossing is the FPtrType analogue of FuncDecl.TraceCrossing.
-func (ft *FPtrType) TraceCrossing(t *Thread, phase string, args []uint64, ret uint64, from *caps.Principal) (tree, compiled []ActionTrace, hasProg bool) {
+func (ft *FPtrType) TraceCrossing(t *Thread, phase string, args []uint64, ret uint64, from *caps.Principal) (tree, compiled []ActionTrace) {
 	return t.traceBoth(ft.Name, ft.Params, ft.Annot, ft.prog, phase, args, ret, from)
 }
 
-// TracePrincipalValue evaluates f's principal annotation under both
-// executors without materializing an instance principal. kind is the
-// annotation's principal kind; for PrincipalExpr the values and error
-// texts are the comparison surface.
-func (f *FuncDecl) TracePrincipalValue(t *Thread, args []uint64) (kind annot.PrincipalKind, treeVal, progVal int64, treeErr, progErr error, hasProg bool) {
+// TracePrincipalValue evaluates f's principal annotation under the tree
+// oracle and the compiled program without materializing an instance
+// principal. kind is the annotation's principal kind; for PrincipalExpr
+// the values and error texts are the comparison surface.
+func (f *FuncDecl) TracePrincipalValue(t *Thread, args []uint64) (kind annot.PrincipalKind, treeVal, progVal int64, treeErr, progErr error) {
 	return t.tracePrincipal(f.Params, f.Annot, f.prog, args)
 }
 
 // TracePrincipalValue is the FPtrType analogue.
-func (ft *FPtrType) TracePrincipalValue(t *Thread, args []uint64) (kind annot.PrincipalKind, treeVal, progVal int64, treeErr, progErr error, hasProg bool) {
+func (ft *FPtrType) TracePrincipalValue(t *Thread, args []uint64) (kind annot.PrincipalKind, treeVal, progVal int64, treeErr, progErr error) {
 	return t.tracePrincipal(ft.Params, ft.Annot, ft.prog, args)
 }
 
-func (t *Thread) tracePrincipal(params []Param, set *annot.Set, prog *annotProg, args []uint64) (kind annot.PrincipalKind, treeVal, progVal int64, treeErr, progErr error, hasProg bool) {
+// treeEnv is the oracle's by-name binding of a call's arguments (and,
+// for post actions, its return value) to annotation identifiers.
+type treeEnv struct {
+	sys    *System
+	params []Param
+	args   []uint64
+	ret    uint64
+	hasRet bool
+}
+
+// Arg implements annot.Env.
+func (e *treeEnv) Arg(name string) (int64, bool) {
+	if name == "return" {
+		if !e.hasRet {
+			return 0, false
+		}
+		return int64(e.ret), true
+	}
+	for i, p := range e.params {
+		if p.Name == name && i < len(e.args) {
+			return int64(e.args[i]), true
+		}
+	}
+	return 0, false
+}
+
+// Const implements annot.Env.
+func (e *treeEnv) Const(name string) (int64, bool) {
+	return e.sys.Const(name)
+}
+
+func (t *Thread) tracePrincipal(params []Param, set *annot.Set, prog *annotProg, args []uint64) (kind annot.PrincipalKind, treeVal, progVal int64, treeErr, progErr error) {
 	if set == nil {
-		return annot.PrincipalDefault, 0, 0, nil, nil, prog != nil
+		return annot.PrincipalDefault, 0, 0, nil, nil
 	}
 	kind = set.Principal.Kind
 	if kind != annot.PrincipalExpr {
-		return kind, 0, 0, nil, nil, prog != nil
+		return kind, 0, 0, nil, nil
 	}
-	env := t.getEnv(params, args)
+	treeVal, treeErr = set.Principal.Expr.Eval(&treeEnv{sys: t.Sys, params: params, args: args})
+	env := t.getEnv(args)
 	defer t.putEnv(env)
-	treeVal, treeErr = set.Principal.Expr.Eval(env)
-	if prog != nil {
-		progVal, progErr = prog.prinProg.Eval(env)
-		hasProg = true
-	}
-	return kind, treeVal, progVal, treeErr, progErr, hasProg
+	progVal, progErr = prog.prinProg.Eval(env)
+	return kind, treeVal, progVal, treeErr, progErr
 }
 
-func (t *Thread) traceBoth(name string, params []Param, set *annot.Set, prog *annotProg, phase string, args []uint64, ret uint64, from *caps.Principal) (tree, compiled []ActionTrace, hasProg bool) {
-	env := t.getEnv(params, args)
+func (t *Thread) traceBoth(name string, params []Param, set *annot.Set, prog *annotProg, phase string, args []uint64, ret uint64, from *caps.Principal) (tree, compiled []ActionTrace) {
+	if set == nil {
+		return nil, nil
+	}
+	tenv := &treeEnv{sys: t.Sys, params: params, args: args}
+	env := t.getEnv(args)
 	defer t.putEnv(env)
+	actions, steps := set.Pre, prog.pre
 	if phase == "post" {
+		actions, steps = set.Post, prog.post
+		tenv.ret, tenv.hasRet = ret, true
 		env.ret, env.hasRet = ret, true
 	}
-	var actions []*annot.Action
-	if set != nil {
-		actions = set.Pre
-		if phase == "post" {
-			actions = set.Post
-		}
-	}
-	tree = t.traceTreeActions(phase, name, actions, env, from)
-	if prog != nil {
-		steps := prog.pre
-		if phase == "post" {
-			steps = prog.post
-		}
-		compiled = t.traceProgActions(phase, name, steps, env, from)
-		hasProg = true
-	}
-	return tree, compiled, hasProg
+	tree = t.traceTreeActions(phase, name, actions, tenv, from)
+	compiled = t.traceProgActions(phase, name, steps, env, from)
+	return tree, compiled
 }
 
-// traceTreeActions mirrors runActions/runAction with recording
-// effects. The violation formats are kept textually identical to the
-// production executor so traces compare exactly.
-func (t *Thread) traceTreeActions(phase, fnName string, actions []*annot.Action, env *argEnv, from *caps.Principal) []ActionTrace {
+// traceTreeActions interprets an action list over the annotation trees
+// with recording effects. The violation formats are kept textually
+// identical to runProgram so traces compare exactly.
+func (t *Thread) traceTreeActions(phase, fnName string, actions []*annot.Action, env *treeEnv, from *caps.Principal) []ActionTrace {
 	var out []ActionTrace
 	for _, a := range actions {
 		var stop bool
@@ -114,7 +136,7 @@ func (t *Thread) traceTreeActions(phase, fnName string, actions []*annot.Action,
 	return out
 }
 
-func (t *Thread) traceTreeAction(phase, fnName string, a *annot.Action, env *argEnv, from *caps.Principal, out []ActionTrace) ([]ActionTrace, bool) {
+func (t *Thread) traceTreeAction(phase, fnName string, a *annot.Action, env *treeEnv, from *caps.Principal, out []ActionTrace) ([]ActionTrace, bool) {
 	if a.Op == annot.If {
 		v, err := a.Cond.Eval(env)
 		if err != nil {
@@ -126,8 +148,7 @@ func (t *Thread) traceTreeAction(phase, fnName string, a *annot.Action, env *arg
 		}
 		return t.traceTreeAction(phase, fnName, a.Then, env, from, out)
 	}
-	capsList, err := t.resolveCaps(a.Caps, env, t.getCapBuf())
-	defer t.putCapBuf(capsList)
+	capsList, err := t.resolveCaps(a.Caps, env)
 	if err != nil {
 		return append(out, ActionTrace{Op: "violation",
 			Err: fmt.Sprintf("%s %s: %v", phase, fnName, err)}), true
@@ -140,6 +161,73 @@ func (t *Thread) traceTreeAction(phase, fnName string, a *annot.Action, env *arg
 		}
 	}
 	return out, false
+}
+
+// resolveCaps materializes the capability list of one action from its
+// tree: expressions evaluate by name, iterators and sizeof(*ptr)
+// resolve at call time.
+func (t *Thread) resolveCaps(cl *annot.CapList, env *treeEnv) ([]caps.Cap, error) {
+	if cl.IsIterator() {
+		iter, ok := t.Sys.iterator(cl.Iter)
+		if !ok {
+			return nil, fmt.Errorf("core: unknown capability iterator %q", cl.Iter)
+		}
+		iargs := make([]int64, 0, len(cl.IterArgs))
+		for _, e := range cl.IterArgs {
+			v, err := e.Eval(env)
+			if err != nil {
+				return nil, err
+			}
+			iargs = append(iargs, v)
+		}
+		var out []caps.Cap
+		err := iter(t, iargs, func(c caps.Cap) error {
+			out = append(out, c)
+			return nil
+		})
+		return out, err
+	}
+
+	ptr, err := cl.Ptr.Eval(env)
+	if err != nil {
+		return nil, err
+	}
+	addr := mem.Addr(uint64(ptr))
+	switch cl.Kind {
+	case annot.CapCall:
+		return []caps.Cap{caps.CallCap(addr)}, nil
+	case annot.CapRef:
+		return []caps.Cap{caps.RefCap(cl.RefType, addr)}, nil
+	case annot.CapWrite:
+		var size uint64
+		if cl.Size != nil {
+			v, err := cl.Size.Eval(env)
+			if err != nil {
+				return nil, err
+			}
+			if v < 0 {
+				v = 0
+			}
+			size = uint64(v)
+		} else {
+			// sizeof(*ptr): look up the declared type of the parameter
+			// the pointer expression names.
+			ok := false
+			if cl.Ptr.Ident != "" {
+				for _, p := range env.params {
+					if p.Name == cl.Ptr.Ident {
+						size, ok = t.Sys.sizeofType(p.Type)
+						break
+					}
+				}
+			}
+			if !ok {
+				return nil, fmt.Errorf("core: cannot resolve sizeof for %q", cl.Ptr)
+			}
+		}
+		return []caps.Cap{caps.WriteCap(addr, size)}, nil
+	}
+	return nil, fmt.Errorf("core: bad caplist")
 }
 
 func (t *Thread) traceProgActions(phase, fnName string, steps []actionStep, env *argEnv, from *caps.Principal) []ActionTrace {

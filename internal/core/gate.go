@@ -9,12 +9,12 @@
 // therefore performs no name lookup, no registry lock, and no argument
 // slice allocation — the arguments ride the thread's crossing stack.
 //
-// Gates do not weaken isolation: the CALL capability check, the
-// annotation programs, and the shadow stack still run on every
-// mediated crossing exactly as they do for the string-keyed paths
-// (CallKernel / IndirectCall), which remain for cold callers, tests,
-// and exploit payloads. A gate only removes the per-call resolution
-// cost the paper moves to bind time.
+// Gates do not weaken isolation: a gate enters the same body as the
+// string-keyed paths (CallKernel / IndirectCall), which remain for
+// cold callers, tests, and exploit payloads, so the CALL capability
+// check, the annotation program, and the shadow stack run on every
+// mediated crossing either way. A gate only removes the per-call
+// resolution cost the paper moves to bind time.
 package core
 
 import (
@@ -176,15 +176,18 @@ func (g *Gate) CallArgs(t *Thread, args []uint64) (uint64, error) {
 //
 // Each gate also carries a small direct-mapped (slot → target) cache
 // validated against the capability epoch and the enforcement mode
-// (calls.go, indirectCallGate): once a slot's full writer-set check
+// (calls.go, indirectCall): once a slot's full writer-set check
 // has passed, repeat crossings through the same unchanged slot skip
 // the writer-set probe, the grantee sweep, and the System.mu registry
 // lookups. Entries are immutable and swapped atomically, so gates are
 // safe to share between threads.
 type IndGate struct {
 	ft    *FPtrType
-	cache [indCacheSlots]atomic.Pointer[indCacheEnt]
+	cache indCache
 }
+
+// indCache is a gate's direct-mapped (slot → target) cache.
+type indCache [indCacheSlots]atomic.Pointer[indCacheEnt]
 
 // indCacheSlots is the per-gate cache size; slots of one interface
 // hash by address, so a gate serving a handful of live objects keeps
@@ -221,14 +224,14 @@ func (g *IndGate) Type() *FPtrType { return g.ft }
 // pointer stored at slot (the lxfi_check_indcall path of §4.1) with a
 // caller-owned argument slice.
 func (g *IndGate) CallArgs(t *Thread, slot mem.Addr, args []uint64) (uint64, error) {
-	return t.indirectCallGate(g, slot, args)
+	return t.indirectCall(g.ft, &g.cache, slot, args)
 }
 
 // Call1 is the one-argument kernel-side checked indirect call.
 func (g *IndGate) Call1(t *Thread, slot mem.Addr, a0 uint64) (uint64, error) {
 	base := len(t.argStack)
 	t.argStack = append(t.argStack, a0)
-	ret, err := t.indirectCallGate(g, slot, t.argStack[base:])
+	ret, err := t.indirectCall(g.ft, &g.cache, slot, t.argStack[base:])
 	t.popArgs(base)
 	return ret, err
 }
@@ -237,7 +240,7 @@ func (g *IndGate) Call1(t *Thread, slot mem.Addr, a0 uint64) (uint64, error) {
 func (g *IndGate) Call2(t *Thread, slot mem.Addr, a0, a1 uint64) (uint64, error) {
 	base := len(t.argStack)
 	t.argStack = append(t.argStack, a0, a1)
-	ret, err := t.indirectCallGate(g, slot, t.argStack[base:])
+	ret, err := t.indirectCall(g.ft, &g.cache, slot, t.argStack[base:])
 	t.popArgs(base)
 	return ret, err
 }
@@ -246,7 +249,7 @@ func (g *IndGate) Call2(t *Thread, slot mem.Addr, a0, a1 uint64) (uint64, error)
 func (g *IndGate) Call3(t *Thread, slot mem.Addr, a0, a1, a2 uint64) (uint64, error) {
 	base := len(t.argStack)
 	t.argStack = append(t.argStack, a0, a1, a2)
-	ret, err := t.indirectCallGate(g, slot, t.argStack[base:])
+	ret, err := t.indirectCall(g.ft, &g.cache, slot, t.argStack[base:])
 	t.popArgs(base)
 	return ret, err
 }
@@ -255,7 +258,7 @@ func (g *IndGate) Call3(t *Thread, slot mem.Addr, a0, a1, a2 uint64) (uint64, er
 func (g *IndGate) Call4(t *Thread, slot mem.Addr, a0, a1, a2, a3 uint64) (uint64, error) {
 	base := len(t.argStack)
 	t.argStack = append(t.argStack, a0, a1, a2, a3)
-	ret, err := t.indirectCallGate(g, slot, t.argStack[base:])
+	ret, err := t.indirectCall(g.ft, &g.cache, slot, t.argStack[base:])
 	t.popArgs(base)
 	return ret, err
 }

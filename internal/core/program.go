@@ -8,14 +8,16 @@
 // are opcode programs (annot.ExprProg) with parameter names resolved to
 // argument indices, whose iterators and REF cache tags are
 // pre-resolved, and whose if-chains are flattened into per-step
-// condition lists. The crossing paths in calls.go execute programs;
-// the expression-tree interpreter in actions.go remains as the
-// fallback for the one cold case a program cannot cover (an indirect
-// call substituting the slot type's parameter list into a function
-// declared without one) and as the oracle for the differential tests.
+// condition lists. Programs are the only annotation executor on the
+// crossing paths (calls.go): parameter names are bound here, at
+// registration, and a set that cannot be bound or compiled is a
+// registration error. The expression-tree interpreter survives only
+// as the differential oracle (diff.go).
 package core
 
 import (
+	"errors"
+
 	"lxfi/internal/annot"
 	"lxfi/internal/caps"
 )
@@ -105,31 +107,26 @@ func (e bindEnv) ConstValue(name string) (int64, bool) {
 	return e.sys.Const(name)
 }
 
-// compileAnnot lowers set into an action program against params. A nil
-// or uncompilable set yields nil, which the call paths read as "use
-// the tree interpreter" — so a malformed set degrades to the old
-// behavior instead of changing it.
-func (s *System) compileAnnot(params []Param, set *annot.Set) *annotProg {
-	if set == nil {
-		return nil
-	}
+// compileAnnot lowers set into an action program against params. An
+// error is a registration error for the caller to report.
+func (s *System) compileAnnot(params []Param, set *annot.Set) (*annotProg, error) {
 	cenv := bindEnv{params: params, sys: s}
 	prog := &annotProg{prinKind: set.Principal.Kind}
 	if set.Principal.Kind == annot.PrincipalExpr {
 		p, err := annot.Compile(set.Principal.Expr, cenv)
 		if err != nil {
-			return nil
+			return nil, err
 		}
 		prog.prinProg, prog.prinSrc = p, set.Principal.Expr
 	}
 	var err error
 	if prog.pre, err = s.compileActions(set.Pre, cenv, params); err != nil {
-		return nil
+		return nil, err
 	}
 	if prog.post, err = s.compileActions(set.Post, cenv, params); err != nil {
-		return nil
+		return nil, err
 	}
-	return prog
+	return prog, nil
 }
 
 func (s *System) compileActions(actions []*annot.Action, cenv annot.CompileEnv, params []Param) ([]actionStep, error) {
@@ -158,7 +155,7 @@ func (s *System) compileStep(a *annot.Action, cenv annot.CompileEnv, params []Pa
 		a = a.Then
 	}
 	if a == nil || a.Caps == nil {
-		return st, errBadAction
+		return st, errors.New("uncompilable action")
 	}
 	st.op = a.Op
 	cl := a.Caps
@@ -209,14 +206,6 @@ func (s *System) compileStep(a *annot.Action, cenv annot.CompileEnv, params []Pa
 	}
 	return st, nil
 }
-
-// errBadAction marks an action shape the compiler cannot lower; the
-// set falls back to tree interpretation.
-var errBadAction = &badActionError{}
-
-type badActionError struct{}
-
-func (*badActionError) Error() string { return "core: uncompilable annotation action" }
 
 // refTypeTag interns a REF type name and returns its packed check-cache
 // tag: a process-unique nonzero ID below the kind shift, or'd with the

@@ -120,6 +120,7 @@ const funcSlotSize = 16
 
 func (s *System) registerFunc(f *FuncDecl, text *mem.Bump) *FuncDecl {
 	f.Addr = text.Alloc(funcSlotSize, funcSlotSize)
+	f.annotHash = f.Annot.Hash()
 	s.mu.Lock()
 	s.funcsByAddr[f.Addr] = f
 	s.mu.Unlock()
@@ -134,9 +135,11 @@ func (s *System) RegisterKernelFunc(name string, params []Param, annotSrc string
 	if err != nil {
 		panic(fmt.Sprintf("core: bad annotation for %s: %v", name, err))
 	}
-	s.validateAnnot(name, params, set)
-	f := &FuncDecl{Name: name, Params: params, Annot: set, Impl: impl}
-	f.prog = s.compileAnnot(params, set)
+	prog, err := s.bindAnnot(name, params, set)
+	if err != nil {
+		panic(err.Error())
+	}
+	f := &FuncDecl{Name: name, Params: params, Annot: set, Impl: impl, prog: prog}
 	s.registerFunc(f, s.kernelText)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -194,9 +197,11 @@ func (s *System) RegisterFPtrType(name string, params []Param, annotSrc string) 
 	if err != nil {
 		panic(fmt.Sprintf("core: bad annotation for fptr type %s: %v", name, err))
 	}
-	s.validateAnnot(name, params, set)
-	ft := &FPtrType{Name: name, Params: params, Annot: set}
-	ft.prog = s.compileAnnot(params, set)
+	prog, err := s.bindAnnot(name, params, set)
+	if err != nil {
+		panic(err.Error())
+	}
+	ft := &FPtrType{Name: name, Params: params, Annot: set, prog: prog, annotHash: set.Hash()}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.fptrTypes[name]; dup {
@@ -245,28 +250,27 @@ func (s *System) Const(name string) (int64, bool) {
 	return v, ok
 }
 
-// validateAnnot rejects annotations that reference identifiers that are
-// neither parameters, "return", nor registered constants/iterator names.
-// (Constants may be registered later, so only obvious typos — empty
-// parameter lists with argument references — are caught eagerly.)
-func (s *System) validateAnnot(what string, params []Param, set *annot.Set) {
-	if set.Empty() {
-		return
-	}
+// bindAnnot binds set's argument names to params and compiles it into
+// its action program (program.go). It rejects a set that references a
+// lower-case identifier that is neither a parameter nor "return":
+// names with an upper-case letter are constants, which may be
+// registered later. A binding error is a registration error, like a
+// parse error.
+func (s *System) bindAnnot(what string, params []Param, set *annot.Set) (*annotProg, error) {
 	known := map[string]bool{"return": true}
 	for _, p := range params {
 		known[p.Name] = true
 	}
 	for _, id := range set.Idents() {
-		if !known[id] {
-			// Might be a constant registered later; allow names that look
-			// like constants (contain an upper-case letter).
-			if strings.ToLower(id) != id {
-				continue
-			}
-			panic(fmt.Sprintf("core: annotation for %s references unknown identifier %q", what, id))
+		if !known[id] && strings.ToLower(id) == id {
+			return nil, fmt.Errorf("core: annotation for %s references unknown identifier %q", what, id)
 		}
 	}
+	prog, err := s.compileAnnot(params, set)
+	if err != nil {
+		return nil, fmt.Errorf("core: annotation for %s: %v", what, err)
+	}
+	return prog, nil
 }
 
 // --- lookup ---
@@ -409,7 +413,7 @@ func (s *System) LoadModule(spec ModuleSpec) (*Module, error) {
 					unreserve()
 					return nil, fmt.Errorf("core: module %s: %s: %v", spec.Name, fs.Name, err)
 				}
-				if own.Hash() != set.Hash() {
+				if own.Hash() != ft.annotHash {
 					unreserve()
 					return nil, fmt.Errorf(
 						"core: module %s: %s: conflicting annotations (explicit %q vs type %s %q)",
@@ -427,11 +431,16 @@ func (s *System) LoadModule(spec ModuleSpec) (*Module, error) {
 				return nil, fmt.Errorf("core: module %s: %s: %v", spec.Name, fs.Name, err)
 			}
 		}
-		f := &FuncDecl{Name: fs.Name, Module: spec.Name, Params: fs.Params, Annot: set, Impl: fs.Impl, owner: m}
-		// Bind-time compilation (§4.2): the annotation set is lowered
-		// into its action program once, here, instead of being
+		// Bind-time compilation (§4.2): the annotation's argument names
+		// are bound to the (own or propagated) parameters and the set is
+		// lowered into its action program once, here, instead of being
 		// re-interpreted on every crossing into the module.
-		f.prog = s.compileAnnot(fs.Params, set)
+		prog, err := s.bindAnnot(spec.Name+"."+fs.Name, fs.Params, set)
+		if err != nil {
+			unreserve()
+			return nil, err
+		}
+		f := &FuncDecl{Name: fs.Name, Module: spec.Name, Params: fs.Params, Annot: set, Impl: fs.Impl, prog: prog, owner: m}
 		s.registerFunc(f, s.moduleArea)
 		m.Funcs[fs.Name] = f
 		if fs.Type != "" {

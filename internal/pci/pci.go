@@ -151,7 +151,7 @@ func (b *Bus) RegisterDriver(t *core.Thread, m *core.Module, probeFn string, ven
 	// (annotation propagation has already verified equality if both were
 	// given).
 	ft, _ := b.K.Sys.FPtrType(ProbeType)
-	if fn.Annot.Hash() != ft.Annot.Hash() {
+	if fn.AnnotHash() != ft.AnnotHash() {
 		return fmt.Errorf("pci: %s.%s does not carry pci_driver.probe annotations", m.Name, probeFn)
 	}
 	b.drivers = append(b.drivers, &driver{module: m, probeFn: probeFn, vendor: vendor, devID: devID})

@@ -38,7 +38,7 @@ func (v *VFS) PageBudget() int {
 // on every insert. Dirty victims go through writeback, so the caller's
 // thread crosses into the owning modules. The caller must hold no mount
 // lock (victim mounts are locked as needed).
-func (v *VFS) ShrinkToBudget(t *core.Thread) { v.evictForBudget(t, nil) }
+func (v *VFS) ShrinkToBudget(t *core.Thread) { v.evictForBudget(t, nil, nil) }
 
 // touchPage marks a page most-recently used. Caller holds pageMu.
 func (v *VFS) touchPage(key pageKey) {
@@ -54,7 +54,7 @@ func (v *VFS) insertPage(t *core.Thread, holder *mount, key pageKey, pg mem.Addr
 	v.pages[key] = pg
 	v.lruPos[key] = v.lru.PushBack(key)
 	v.pageMu.Unlock()
-	v.evictForBudget(t, holder)
+	v.evictForBudget(t, holder, &key)
 }
 
 // removePageLocked frees a cached page and drops every index entry for
@@ -75,13 +75,14 @@ func (v *VFS) removePageLocked(key pageKey) {
 }
 
 // evictForBudget walks the LRU end of the cache until it fits the
-// budget. The most-recently inserted page is never a victim — the
-// caller is still using it. Unevictable pages (memory-only mounts,
-// failed writebacks, mounts whose lock another thread holds) are
-// skipped, so the cache can exceed the budget when nothing else
-// remains. holder is the mount whose lock the calling thread already
-// holds (nil when none).
-func (v *VFS) evictForBudget(t *core.Thread, holder *mount) {
+// budget. keep, when non-nil, is the page the caller just inserted and
+// is still using: it is never a victim, even when another thread's
+// insert has since pushed it off the LRU tail. Unevictable pages
+// (memory-only mounts, failed writebacks, mounts whose lock another
+// thread holds) are skipped, so the cache can exceed the budget when
+// nothing else remains. holder is the mount whose lock the calling
+// thread already holds (nil when none).
+func (v *VFS) evictForBudget(t *core.Thread, holder *mount, keep *pageKey) {
 	// skip remembers victims that refused eviction this pass; allocated
 	// lazily so the common unlimited-budget insert pays nothing extra.
 	var skip map[pageKey]bool
@@ -93,9 +94,9 @@ func (v *VFS) evictForBudget(t *core.Thread, holder *mount) {
 		}
 		var victim pageKey
 		found := false
-		for e := v.lru.Front(); e != nil && e.Next() != nil; e = e.Next() {
+		for e := v.lru.Front(); e != nil; e = e.Next() {
 			key := e.Value.(pageKey)
-			if !skip[key] {
+			if !skip[key] && (keep == nil || key != *keep) {
 				victim, found = key, true
 				break
 			}

@@ -214,3 +214,91 @@ func TestFlusherDaemonRunsOnTimer(t *testing.T) {
 	}
 	r.noViolations(t)
 }
+
+// TestEvictionNeverFreesTheInsertersPage: two threads, one per
+// minixsim mount, fill cold pages under a budget far below the working
+// set, so every insert evicts. A thread's fresh page is not the LRU
+// tail once the other thread has inserted after it; eviction must still
+// spare it, or the caller reads and writes a freed page. Every read
+// checks the bytes last written to the file.
+func TestEvictionNeverFreesTheInsertersPage(t *testing.T) {
+	r := newRig(t, core.Enforce)
+	defer r.k.Shutdown()
+	if _, err := minixsim.Load(r.th, r.k, r.v); err != nil {
+		t.Fatal(err)
+	}
+	var sbs []mem.Addr
+	for dev := uint64(1); dev <= 2; dev++ {
+		r.bl.AddDisk(dev, minixsim.DiskSectors)
+		sb, err := r.v.Mount(r.th, minixsim.FsID, dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sbs = append(sbs, sb)
+	}
+	const (
+		files = 8
+		iters = 400
+	)
+	size := 2 * mem.PageSize
+	fill := func(file, gen int) []byte {
+		return bytes.Repeat([]byte{byte(file*31 + gen*7 + 1)}, size)
+	}
+	for _, sb := range sbs {
+		for f := 0; f < files; f++ {
+			p := fmt.Sprintf("/f%d", f)
+			if _, err := r.v.Create(r.th, sb, p); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.v.Write(r.th, sb, p, 0, fill(f, 0)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := r.v.Sync(r.th, sb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One page: whenever the other thread's page is cached, the
+	// inserter's fresh page is over budget.
+	r.v.SetPageBudget(1)
+	defer r.v.SetPageBudget(0)
+	r.v.ShrinkToBudget(r.th)
+
+	errs := make([]error, len(sbs))
+	var handles []*core.ThreadHandle
+	for i, sb := range sbs {
+		i, sb := i, sb
+		handles = append(handles, r.k.Sys.Spawn(fmt.Sprintf("evict-%d", i), func(th *core.Thread) {
+			gens := make([]int, files)
+			for n := 0; n < iters; n++ {
+				f := n % files
+				p := fmt.Sprintf("/f%d", f)
+				if n%4 == 0 {
+					gens[f]++
+					if _, err := r.v.Write(th, sb, p, 0, fill(f, gens[f])); err != nil {
+						errs[i] = fmt.Errorf("write %s: %w", p, err)
+						return
+					}
+					if err := r.v.Sync(th, sb); err != nil {
+						errs[i] = fmt.Errorf("sync: %w", err)
+						return
+					}
+				}
+				got, err := r.v.Read(th, sb, p, 0, uint64(size))
+				if err != nil || !bytes.Equal(got, fill(f, gens[f])) {
+					errs[i] = fmt.Errorf("op %d: read %s: err=%v corrupt=%v", n, p, err, err == nil)
+					return
+				}
+			}
+		}))
+	}
+	for _, h := range handles {
+		h.Join()
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("thread %d: %v", i, err)
+		}
+	}
+	r.noViolations(t)
+}
