@@ -89,6 +89,7 @@ func runBoot(out string) error {
 		return err
 	}
 
+	var gKmalloc, gKfree *core.Gate // bound after load
 	m, err := k.Sys.LoadModule(core.ModuleSpec{
 		Name:     "scratch",
 		Imports:  []string{"kmalloc", "kfree"},
@@ -98,11 +99,11 @@ func runBoot(out string) error {
 				Name: "churn", Params: []core.Param{core.P("n", "int")},
 				Impl: func(th *core.Thread, args []uint64) uint64 {
 					for i := uint64(0); i < args[0]; i++ {
-						p, err := th.CallKernel("kmalloc", 64)
+						p, err := gKmalloc.Call(th, 64)
 						if err != nil || p == 0 {
 							return 1
 						}
-						if _, err := th.CallKernel("kfree", p); err != nil {
+						if _, err := gKfree.Call(th, p); err != nil {
 							return 1
 						}
 					}
@@ -112,7 +113,7 @@ func runBoot(out string) error {
 			{
 				Name: "hold", Params: []core.Param{core.P("size", "size_t")},
 				Impl: func(th *core.Thread, args []uint64) uint64 {
-					p, err := th.CallKernel("kmalloc", args[0])
+					p, err := gKmalloc.Call(th, args[0])
 					if err != nil {
 						return 0
 					}
@@ -124,6 +125,7 @@ func runBoot(out string) error {
 	if err != nil {
 		return err
 	}
+	gKmalloc, gKfree = m.Gate("kmalloc"), m.Gate("kfree")
 	if ret, err := th.CallModule(m, "churn", 64); err != nil || ret != 0 {
 		return fmt.Errorf("workload churn failed: ret=%d err=%v", ret, err)
 	}

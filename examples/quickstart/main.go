@@ -37,7 +37,9 @@ func run(mode lxfi.Mode) {
 	k.SetCurrent(th, task)
 
 	// Load a module that uses spin_lock_init — legitimately on its own
-	// lock, or maliciously on whatever address it is handed.
+	// lock, or maliciously on whatever address it is handed. The module
+	// calls the kernel through a gate the loader binds for each import.
+	var gSpinLockInit *lxfi.Gate // bound after load
 	mod, err := k.Sys.LoadModule(lxfi.ModuleSpec{
 		Name:     "lockuser",
 		Imports:  []string{"spin_lock_init", "kmalloc", "printk"},
@@ -46,7 +48,7 @@ func run(mode lxfi.Mode) {
 			Name:   "init_lock",
 			Params: []lxfi.Param{lxfi.P("lock", "spinlock_t *")},
 			Impl: func(t *lxfi.Thread, args []uint64) uint64 {
-				if _, err := t.CallKernel("spin_lock_init", args[0]); err != nil {
+				if _, err := gSpinLockInit.Call(t, args[0]); err != nil {
 					return 1
 				}
 				return 0
@@ -56,6 +58,7 @@ func run(mode lxfi.Mode) {
 	if err != nil {
 		panic(err)
 	}
+	gSpinLockInit = mod.Gate("spin_lock_init")
 
 	// Legitimate use: a lock inside the module's own data section.
 	ret, err := th.CallModule(mod, "init_lock", uint64(mod.Data))

@@ -547,7 +547,7 @@ func (l *Layer) CreateTarget(t *core.Thread, ops mem.Addr, arg, begin, length, d
 	must(sys.AS.WriteU64(ti+mem.Addr(l.tgt.Off("begin")), begin))
 	must(sys.AS.WriteU64(ti+mem.Addr(l.tgt.Off("len")), length))
 	must(sys.AS.WriteU64(ti+mem.Addr(l.tgt.Off("dev")), dev))
-	ret, err := l.gCtr.Call2(t, l.OpsSlot(ops, "ctr"), uint64(ti), arg)
+	ret, err := l.gCtr.Call(t, l.OpsSlot(ops, "ctr"), uint64(ti), arg)
 	if err != nil {
 		return 0, err
 	}
@@ -569,7 +569,7 @@ func (l *Layer) RemoveTarget(t *core.Thread, ti mem.Addr) error {
 	if !ok {
 		return fmt.Errorf("blockdev: unknown target %#x", uint64(ti))
 	}
-	if _, err := l.gDtr.Call1(t, l.OpsSlot(ops, "dtr"), uint64(ti)); err != nil {
+	if _, err := l.gDtr.Call(t, l.OpsSlot(ops, "dtr"), uint64(ti)); err != nil {
 		return err
 	}
 	l.mu.Lock()
@@ -587,7 +587,7 @@ func (l *Layer) Submit(t *core.Thread, ti, bio mem.Addr) error {
 	if !ok {
 		return fmt.Errorf("blockdev: unknown target %#x", uint64(ti))
 	}
-	ret, err := l.gMap.Call2(t, l.OpsSlot(ops, "map"), uint64(ti), uint64(bio))
+	ret, err := l.gMap.Call(t, l.OpsSlot(ops, "map"), uint64(ti), uint64(bio))
 	if err != nil {
 		return err
 	}

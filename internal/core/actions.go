@@ -218,8 +218,8 @@ func (t *Thread) resolveIterCaps(st *actionStep, env *argEnv, out []caps.Cap) ([
 	// A local array would escape through the indirect iter call, so the
 	// argument slice lives on the thread; swap it out around the run so
 	// a re-entrant iterator gets a fresh one instead of clobbering ours.
-	iargs := t.iargBuf
-	t.iargBuf = nil
+	iargs := t.iterArgs
+	t.iterArgs = nil
 	if cap(iargs) < len(st.iterArgs) {
 		iargs = make([]int64, 0, len(st.iterArgs))
 	}
@@ -227,7 +227,7 @@ func (t *Thread) resolveIterCaps(st *actionStep, env *argEnv, out []caps.Cap) ([
 	for i := range st.iterArgs {
 		v, err := st.iterArgs[i].Eval(env)
 		if err != nil {
-			t.iargBuf = iargs
+			t.iterArgs = iargs
 			return out, err
 		}
 		iargs = append(iargs, v)
@@ -237,7 +237,7 @@ func (t *Thread) resolveIterCaps(st *actionStep, env *argEnv, out []caps.Cap) ([
 	err := iter(t, iargs, t.emit)
 	out = t.iterBuf
 	t.iterBuf = saved
-	t.iargBuf = iargs
+	t.iterArgs = iargs
 	return out, err
 }
 

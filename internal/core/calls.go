@@ -22,9 +22,9 @@ func init() {
 // In kernel context (t.cur == nil) the call is direct: "Since LXFI
 // assumes that the core kernel is fully trusted, it can omit most checks
 // for performance" (§4).
-// Hot callers should bind a Gate at load time instead (gate.go); the
-// string-keyed path remains for cold callers, tests, and exploit
-// payloads.
+// Module code should bind a Gate at load time instead (gate.go); the
+// string-keyed path remains for exploit payloads calling symbols they
+// never imported, the named-crossing microbenchmark, and tests.
 func (t *Thread) CallKernel(name string, args ...uint64) (uint64, error) {
 	fn, ok := t.Sys.FuncByName(name)
 	if !ok || !fn.IsKernel() {
@@ -34,7 +34,10 @@ func (t *Thread) CallKernel(name string, args ...uint64) (uint64, error) {
 		t.Sys.Mon.Stats.FailedResolutions.Add(1)
 		return 0, fmt.Errorf("core: no such kernel function %q", name)
 	}
-	return t.callKernelDecl(fn, args)
+	frame, base := t.pushArgs(args)
+	ret, err := t.callKernelDecl(fn, frame)
+	t.popArgs(base)
+	return ret, err
 }
 
 func (t *Thread) callKernelDecl(fn *FuncDecl, args []uint64) (uint64, error) {
@@ -212,7 +215,10 @@ func (t *Thread) CallModule(m *Module, fname string, args ...uint64) (uint64, er
 		t.Sys.Mon.Stats.FailedResolutions.Add(1)
 		return 0, fmt.Errorf("core: module %s has no function %q", m.Name, fname)
 	}
-	return t.callModuleDecl(m, fn, args)
+	frame, base := t.pushArgs(args)
+	ret, err := t.callModuleDecl(m, fn, frame)
+	t.popArgs(base)
+	return ret, err
 }
 
 func (t *Thread) callModuleDecl(m *Module, fn *FuncDecl, args []uint64) (uint64, error) {
@@ -289,13 +295,18 @@ func (t *Thread) callModuleDecl(m *Module, fn *FuncDecl, args []uint64) (uint64,
 // runtime can consult the writer set for that slot.
 // Hot kernel-side callers should bind an IndGate at init instead
 // (gate.go); this path repeats the type lookup per call and runs the
-// same body with no slot cache.
+// same body with no slot cache, so every call through a
+// module-writable slot takes the full writer-set check (the Fig. 13
+// guard-cost rig measures exactly that).
 func (t *Thread) IndirectCall(slot mem.Addr, typeName string, args ...uint64) (uint64, error) {
 	ft, ok := t.Sys.FPtrType(typeName)
 	if !ok {
 		panic("core: indirect call through unregistered fptr type " + typeName)
 	}
-	return t.indirectCall(ft, nil, slot, args)
+	frame, base := t.pushArgs(args)
+	ret, err := t.indirectCall(ft, nil, slot, frame)
+	t.popArgs(base)
+	return ret, err
 }
 
 // indirectCall is the kernel-side checked indirect call past type
@@ -353,7 +364,7 @@ func (t *Thread) indirectCall(ft *FPtrType, cache *indCache, slot mem.Addr, args
 	}
 	var m *Module
 	if !fn.IsKernel() && !fn.IsUser() {
-		m, _ = t.Sys.Module(fn.Module)
+		m = t.moduleOf(fn)
 	}
 	if cache != nil {
 		cache[idx].Store(&indCacheEnt{slot: slot, target: target, epoch: epoch, enforcing: enforcing, fn: fn, m: m})
@@ -398,9 +409,10 @@ func (t *Thread) checkIndCallSlow(slot, target mem.Addr, ft *FPtrType) error {
 }
 
 // dispatch transfers control to fn, the resolved target of an indirect
-// call. m, when non-nil, is a pre-resolved module for fn (the IndGate
-// slot cache supplies it); the entry protocol revalidates it, so a
-// generation staled by a reload is still redirected correctly.
+// call. For a module target, m is fn's module as moduleOf resolved it
+// (possibly replayed from the IndGate slot cache); the entry protocol
+// revalidates it, so a generation staled by a reload is still
+// redirected correctly.
 func (t *Thread) dispatch(fn *FuncDecl, m *Module, args []uint64) (uint64, error) {
 	switch {
 	case fn.IsUser():
@@ -419,34 +431,27 @@ func (t *Thread) dispatch(fn *FuncDecl, m *Module, args []uint64) (uint64, error
 	case fn.IsKernel():
 		return t.callKernelDecl(fn, args)
 	}
-	if m == nil {
-		// Mid-reload window: the old generation is retired and the fresh
-		// one not yet published. The owning module object is still
-		// reachable from the declaration; the entry protocol parks the
-		// crossing there until the reload resolves, so no in-flight
-		// crossing is dropped.
-		if fn.owner == nil {
-			return 0, fmt.Errorf("core: function %s belongs to unloaded module", fn)
-		}
-		m = fn.owner
-	}
 	return t.callModuleDecl(m, fn, args)
 }
 
-// CallAddr is the module-side indirect call: module code invoking a
-// function pointer (e.g. a kernel-provided callback) of declared type
-// typeName. The module rewriter instruments these sites so the runtime
-// can verify the CALL capability and annotation match before the jump.
-func (t *Thread) CallAddr(target mem.Addr, typeName string, args ...uint64) (uint64, error) {
-	ft, ok := t.Sys.FPtrType(typeName)
-	if !ok {
-		panic("core: indirect call through unregistered fptr type " + typeName)
+// moduleOf resolves the module a function belongs to: nil for kernel
+// and user functions, never nil for a module function. Mid-reload, the
+// old generation is retired and the fresh one not yet published; the
+// owning module object is still reachable from the declaration, and
+// the entry protocol parks the crossing there until the reload
+// resolves, so no in-flight crossing is dropped.
+func (t *Thread) moduleOf(fn *FuncDecl) *Module {
+	if m, ok := t.Sys.Module(fn.Module); ok {
+		return m
 	}
-	return t.callAddrFT(target, ft, args)
+	return fn.owner
 }
 
-// callAddrFT is CallAddr past type resolution (the IndGate CallAddr
-// entry points land here).
+// callAddrFT is the module-side indirect call (IndGate.CallAddr): module
+// code invoking a function pointer (e.g. a kernel-provided callback) of
+// declared type ft. The module rewriter instruments these sites so the
+// runtime can verify the CALL capability and annotation match before
+// the jump.
 func (t *Thread) callAddrFT(target mem.Addr, ft *FPtrType, args []uint64) (uint64, error) {
 	fn, known := t.Sys.FuncByAddr(target)
 
@@ -466,13 +471,8 @@ func (t *Thread) callAddrFT(target mem.Addr, ft *FPtrType, args []uint64) (uint6
 	if fn.IsKernel() {
 		return t.callKernelDecl(fn, args)
 	}
-	if m, ok := t.Sys.Module(fn.Module); ok {
+	if m := t.moduleOf(fn); m != nil {
 		return t.callModuleDecl(m, fn, args)
-	}
-	if fn.owner != nil {
-		// Mid-reload window: park at the old generation's gate (the
-		// entry protocol redirects once the successor is published).
-		return t.callModuleDecl(fn.owner, fn, args)
 	}
 	return 0, fmt.Errorf("core: cannot dispatch %s", fn)
 }

@@ -808,10 +808,11 @@ func TestStockModeNoGuards(t *testing.T) {
 func TestModuleIndirectCallViaCallAddr(t *testing.T) {
 	f := newFixture(t, core.Enforce)
 	f.sys.RegisterFPtrType("callback", []core.Param{core.P("arg", "u64")}, "")
+	gCallback := f.sys.BindIndirect("callback")
 	cb := f.sys.RegisterKernelFunc("the_callback", []core.Param{core.P("arg", "u64")}, "",
 		func(th *core.Thread, args []uint64) uint64 { return args[0] + 1 })
 	m := f.loadModule(t, "m", nil, func(th *core.Thread, args []uint64) uint64 {
-		ret, err := th.CallAddr(mem.Addr(args[0]), "callback", 41)
+		ret, err := gCallback.CallAddr(th, mem.Addr(args[0]), 41)
 		if err != nil {
 			return 0
 		}
@@ -824,7 +825,7 @@ func TestModuleIndirectCallViaCallAddr(t *testing.T) {
 	// Grant the capability (as a kernel API handing out a callback would
 	// via a copy(call, ...) annotation) and retry.
 	m2 := f.loadModule(t, "m2", nil, func(th *core.Thread, args []uint64) uint64 {
-		ret, err := th.CallAddr(mem.Addr(args[0]), "callback", 41)
+		ret, err := gCallback.CallAddr(th, mem.Addr(args[0]), 41)
 		if err != nil {
 			return 0
 		}

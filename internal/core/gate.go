@@ -5,16 +5,20 @@
 // (§4.2). The simulation's analogue is the Gate: the loader resolves
 // each import into a *Gate holding the pre-resolved declaration (whose
 // annotation program was compiled at registration), and module code
-// calls through the gate with fixed-arity entry points. A gate call
-// therefore performs no name lookup, no registry lock, and no argument
-// slice allocation — the arguments ride the thread's crossing stack.
+// calls through the gate's one variadic entry point. A gate call
+// therefore performs no name lookup and no registry lock, and it
+// allocates no argument slice: the arguments are copied onto the
+// thread's crossing stack, so the caller's variadic slice does not
+// escape.
 //
 // Gates do not weaken isolation: a gate enters the same body as the
-// string-keyed paths (CallKernel / IndirectCall), which remain for
-// cold callers, tests, and exploit payloads, so the CALL capability
-// check, the annotation program, and the shadow stack run on every
-// mediated crossing either way. A gate only removes the per-call
-// resolution cost the paper moves to bind time.
+// string-keyed paths (CallKernel / CallModule / IndirectCall), so the
+// CALL capability check, the annotation program, and the shadow stack
+// run on every mediated crossing either way. A gate only removes the
+// per-call resolution cost the paper moves to bind time. The named
+// paths stage their arguments the same way and remain for exploit
+// payloads calling symbols they never imported, the uncached indirect
+// call the guard-cost rig measures, and tests.
 package core
 
 import (
@@ -65,108 +69,32 @@ func (m *Module) Gate(name string) *Gate {
 	return g
 }
 
-// Func returns the gate's resolved declaration.
-func (g *Gate) Func() *FuncDecl { return g.fn }
-
-// pushArgs* copy fixed arguments onto the thread's crossing stack and
-// return the frame base. Frames nest with crossings; popArgs truncates
-// back. The backing array is retained across calls, so steady-state
-// crossings push without allocating.
+// pushArgs copies a crossing's arguments onto the thread's crossing
+// stack and returns the staged frame and its base; popArgs truncates
+// back. Frames nest with crossings. The backing array is retained
+// across calls, so steady-state crossings push without allocating, and
+// because args is only copied (never retained), a caller's variadic
+// slice does not escape and stays on its stack. The frame is capped at
+// its length, so a callee appending to its arguments reallocates
+// instead of writing into the stack space nested crossings push to.
+func (t *Thread) pushArgs(args []uint64) (frame []uint64, base int) {
+	base = len(t.argStack)
+	t.argStack = append(t.argStack, args...)
+	top := len(t.argStack)
+	return t.argStack[base:top:top], base
+}
 
 func (t *Thread) popArgs(base int) { t.argStack = t.argStack[:base] }
 
-// Call0 through Call6 are the fixed-arity crossing entry points.
-
-// Call0 invokes the gate with no arguments.
-func (g *Gate) Call0(t *Thread) (uint64, error) {
+// Call invokes the gate's kernel export with args.
+func (g *Gate) Call(t *Thread, args ...uint64) (uint64, error) {
 	if err := g.guard(t); err != nil {
 		return 0, err
 	}
-	base := len(t.argStack)
-	ret, err := t.callKernelDecl(g.fn, t.argStack[base:])
+	frame, base := t.pushArgs(args)
+	ret, err := t.callKernelDecl(g.fn, frame)
 	t.popArgs(base)
 	return ret, err
-}
-
-// Call1 invokes the gate with one argument.
-func (g *Gate) Call1(t *Thread, a0 uint64) (uint64, error) {
-	if err := g.guard(t); err != nil {
-		return 0, err
-	}
-	base := len(t.argStack)
-	t.argStack = append(t.argStack, a0)
-	ret, err := t.callKernelDecl(g.fn, t.argStack[base:])
-	t.popArgs(base)
-	return ret, err
-}
-
-// Call2 invokes the gate with two arguments.
-func (g *Gate) Call2(t *Thread, a0, a1 uint64) (uint64, error) {
-	if err := g.guard(t); err != nil {
-		return 0, err
-	}
-	base := len(t.argStack)
-	t.argStack = append(t.argStack, a0, a1)
-	ret, err := t.callKernelDecl(g.fn, t.argStack[base:])
-	t.popArgs(base)
-	return ret, err
-}
-
-// Call3 invokes the gate with three arguments.
-func (g *Gate) Call3(t *Thread, a0, a1, a2 uint64) (uint64, error) {
-	if err := g.guard(t); err != nil {
-		return 0, err
-	}
-	base := len(t.argStack)
-	t.argStack = append(t.argStack, a0, a1, a2)
-	ret, err := t.callKernelDecl(g.fn, t.argStack[base:])
-	t.popArgs(base)
-	return ret, err
-}
-
-// Call4 invokes the gate with four arguments.
-func (g *Gate) Call4(t *Thread, a0, a1, a2, a3 uint64) (uint64, error) {
-	if err := g.guard(t); err != nil {
-		return 0, err
-	}
-	base := len(t.argStack)
-	t.argStack = append(t.argStack, a0, a1, a2, a3)
-	ret, err := t.callKernelDecl(g.fn, t.argStack[base:])
-	t.popArgs(base)
-	return ret, err
-}
-
-// Call5 invokes the gate with five arguments.
-func (g *Gate) Call5(t *Thread, a0, a1, a2, a3, a4 uint64) (uint64, error) {
-	if err := g.guard(t); err != nil {
-		return 0, err
-	}
-	base := len(t.argStack)
-	t.argStack = append(t.argStack, a0, a1, a2, a3, a4)
-	ret, err := t.callKernelDecl(g.fn, t.argStack[base:])
-	t.popArgs(base)
-	return ret, err
-}
-
-// Call6 invokes the gate with six arguments.
-func (g *Gate) Call6(t *Thread, a0, a1, a2, a3, a4, a5 uint64) (uint64, error) {
-	if err := g.guard(t); err != nil {
-		return 0, err
-	}
-	base := len(t.argStack)
-	t.argStack = append(t.argStack, a0, a1, a2, a3, a4, a5)
-	ret, err := t.callKernelDecl(g.fn, t.argStack[base:])
-	t.popArgs(base)
-	return ret, err
-}
-
-// CallArgs invokes the gate with a caller-owned argument slice (for
-// arities beyond Call6 or callers with their own scratch).
-func (g *Gate) CallArgs(t *Thread, args []uint64) (uint64, error) {
-	if err := g.guard(t); err != nil {
-		return 0, err
-	}
-	return t.callKernelDecl(g.fn, args)
 }
 
 // IndGate is a bound indirect-call interface: a pre-resolved
@@ -202,7 +130,7 @@ type indCacheEnt struct {
 	epoch     uint64
 	enforcing bool
 	fn        *FuncDecl
-	m         *Module // pre-resolved module for module targets (may be nil)
+	m         *Module // pre-resolved module (nil for kernel and user targets)
 }
 
 // BindIndirect resolves a registered function-pointer type into an
@@ -217,74 +145,23 @@ func (s *System) BindIndirect(typeName string) *IndGate {
 	return &IndGate{ft: ft}
 }
 
-// Type returns the gate's resolved function-pointer type.
-func (g *IndGate) Type() *FPtrType { return g.ft }
-
-// CallArgs performs the kernel-side checked indirect call through the
-// pointer stored at slot (the lxfi_check_indcall path of §4.1) with a
-// caller-owned argument slice.
-func (g *IndGate) CallArgs(t *Thread, slot mem.Addr, args []uint64) (uint64, error) {
-	return t.indirectCall(g.ft, &g.cache, slot, args)
-}
-
-// Call1 is the one-argument kernel-side checked indirect call.
-func (g *IndGate) Call1(t *Thread, slot mem.Addr, a0 uint64) (uint64, error) {
-	base := len(t.argStack)
-	t.argStack = append(t.argStack, a0)
-	ret, err := t.indirectCall(g.ft, &g.cache, slot, t.argStack[base:])
+// Call performs the kernel-side checked indirect call through the
+// pointer stored at slot (the lxfi_check_indcall path of §4.1).
+func (g *IndGate) Call(t *Thread, slot mem.Addr, args ...uint64) (uint64, error) {
+	frame, base := t.pushArgs(args)
+	ret, err := t.indirectCall(g.ft, &g.cache, slot, frame)
 	t.popArgs(base)
 	return ret, err
 }
 
-// Call2 is the two-argument kernel-side checked indirect call.
-func (g *IndGate) Call2(t *Thread, slot mem.Addr, a0, a1 uint64) (uint64, error) {
-	base := len(t.argStack)
-	t.argStack = append(t.argStack, a0, a1)
-	ret, err := t.indirectCall(g.ft, &g.cache, slot, t.argStack[base:])
-	t.popArgs(base)
-	return ret, err
-}
-
-// Call3 is the three-argument kernel-side checked indirect call.
-func (g *IndGate) Call3(t *Thread, slot mem.Addr, a0, a1, a2 uint64) (uint64, error) {
-	base := len(t.argStack)
-	t.argStack = append(t.argStack, a0, a1, a2)
-	ret, err := t.indirectCall(g.ft, &g.cache, slot, t.argStack[base:])
-	t.popArgs(base)
-	return ret, err
-}
-
-// Call4 is the four-argument kernel-side checked indirect call.
-func (g *IndGate) Call4(t *Thread, slot mem.Addr, a0, a1, a2, a3 uint64) (uint64, error) {
-	base := len(t.argStack)
-	t.argStack = append(t.argStack, a0, a1, a2, a3)
-	ret, err := t.indirectCall(g.ft, &g.cache, slot, t.argStack[base:])
-	t.popArgs(base)
-	return ret, err
-}
-
-// CallAddrArgs is the module-side indirect call through the gate's
+// CallAddr is the module-side indirect call through the gate's
 // interface type: module code invoking a function pointer value it
-// holds (e.g. a kernel-provided callback), with the CALL capability
-// and annotation-hash checks of Thread.CallAddr.
-func (g *IndGate) CallAddrArgs(t *Thread, target mem.Addr, args []uint64) (uint64, error) {
-	return t.callAddrFT(target, g.ft, args)
-}
-
-// CallAddr1 is the one-argument module-side indirect call.
-func (g *IndGate) CallAddr1(t *Thread, target mem.Addr, a0 uint64) (uint64, error) {
-	base := len(t.argStack)
-	t.argStack = append(t.argStack, a0)
-	ret, err := t.callAddrFT(target, g.ft, t.argStack[base:])
-	t.popArgs(base)
-	return ret, err
-}
-
-// CallAddr2 is the two-argument module-side indirect call.
-func (g *IndGate) CallAddr2(t *Thread, target mem.Addr, a0, a1 uint64) (uint64, error) {
-	base := len(t.argStack)
-	t.argStack = append(t.argStack, a0, a1)
-	ret, err := t.callAddrFT(target, g.ft, t.argStack[base:])
+// holds (e.g. a kernel-provided callback). It checks the caller's CALL
+// capability for target and the target's annotation hash against the
+// gate's type before the jump.
+func (g *IndGate) CallAddr(t *Thread, target mem.Addr, args ...uint64) (uint64, error) {
+	frame, base := t.pushArgs(args)
+	ret, err := t.callAddrFT(target, g.ft, frame)
 	t.popArgs(base)
 	return ret, err
 }

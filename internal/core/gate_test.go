@@ -9,45 +9,63 @@ import (
 )
 
 // gateSys boots a system with one annotated kernel export and one
-// module importing it, returning the pieces gate tests need.
-func gateSys(t *testing.T, annot string) (*System, *Thread, *Module, *Gate) {
+// module importing it, returning the pieces gate tests need. The
+// module crosses to the export three ways: "cross" through its bound
+// gate, "named" through the by-name CallKernel, and "viaptr" through
+// IndGate.CallAddr on the export's address (args[2]); "leaf" does not
+// cross at all.
+func gateSys(t *testing.T, annot string) (*System, *Thread, *Module) {
 	t.Helper()
 	s := NewSystem()
 	s.Mon.SetMode(Enforce)
+	params := []Param{P("p", "void *"), P("n", "u64")}
 	var got []uint64
-	s.RegisterKernelFunc("gate_sink",
-		[]Param{P("p", "void *"), P("n", "u64")},
-		annot,
+	s.RegisterKernelFunc("gate_sink", params, annot,
 		func(th *Thread, args []uint64) uint64 {
 			got = append(got[:0], args...)
 			return 0
 		})
+	s.RegisterFPtrType("sink_fn", params, annot)
+	gSinkPtr := s.BindIndirect("sink_fn")
+	status := func(ret uint64, err error) uint64 {
+		if err != nil || ret != 0 {
+			return 1
+		}
+		return 0
+	}
+	modParams := []Param{P("p", "u64"), P("n", "u64"), P("fn", "u64")}
 	m, err := s.LoadModule(ModuleSpec{
 		Name:     "gmod",
 		Imports:  []string{"gate_sink"},
 		DataSize: 4096,
 		Funcs: []FuncSpec{
-			{Name: "cross", Params: []Param{P("p", "u64"), P("n", "u64")},
+			{Name: "cross", Params: modParams,
 				Impl: func(th *Thread, a []uint64) uint64 {
-					ret, err := th.CurrentModule().Gate("gate_sink").Call2(th, a[0], a[1])
-					if err != nil || ret != 0 {
-						return 1
-					}
-					return 0
+					return status(th.CurrentModule().Gate("gate_sink").Call(th, a[0], a[1]))
 				}},
+			{Name: "named", Params: modParams,
+				Impl: func(th *Thread, a []uint64) uint64 {
+					return status(th.CallKernel("gate_sink", a[0], a[1]))
+				}},
+			{Name: "viaptr", Params: modParams,
+				Impl: func(th *Thread, a []uint64) uint64 {
+					return status(gSinkPtr.CallAddr(th, mem.Addr(a[2]), a[0], a[1]))
+				}},
+			{Name: "leaf", Params: modParams,
+				Impl: func(*Thread, []uint64) uint64 { return 0 }},
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s, s.NewThread("t"), m, m.Gate("gate_sink")
+	return s, s.NewThread("t"), m
 }
 
 // TestGateCallRunsFullContract proves a gate call is mediated exactly
 // like the string-keyed path: the compiled pre action still rejects a
 // crossing whose capability the module does not own.
 func TestGateCallRunsFullContract(t *testing.T) {
-	s, th, m, _ := gateSys(t, "pre(check(write, p, 8))")
+	s, th, m := gateSys(t, "pre(check(write, p, 8))")
 	owned := m.Data // module owns its data section
 	if ret, err := th.CallModule(m, "cross", uint64(owned), 8); err != nil || ret != 0 {
 		t.Fatalf("owned crossing failed: ret=%d err=%v", ret, err)
@@ -63,32 +81,59 @@ func TestGateCallRunsFullContract(t *testing.T) {
 }
 
 // TestGateCallAllocationFree is the 0 allocs/op guarantee at unit
-// level: a warm module-side gate crossing performs no allocation.
+// level, one row per crossing entry point: a warm crossing performs no
+// allocation, and the variadic arguments at each call site (literals,
+// not a preallocated slice) stay on the caller's stack because the
+// entry point only copies them onto the thread's crossing stack.
+// Module-side rows enter the module through CallModule, which has its
+// own row.
 func TestGateCallAllocationFree(t *testing.T) {
-	_, th, m, _ := gateSys(t, "pre(check(write, p, 8)) post(if (return == 0) check(write, p, 8))")
-	// The driver's argument slice is preallocated so the measurement
-	// sees only the crossing itself (module code calls gates with fixed
-	// arity; the variadic CallModule here is just the test's doorway).
-	args := []uint64{uint64(m.Data), 8}
-	// Warm the env pool, the arg stack, and the check cache.
-	for i := 0; i < 16; i++ {
-		if ret, err := th.CallModule(m, "cross", args...); err != nil || ret != 0 {
-			t.Fatalf("warmup crossing failed: ret=%d err=%v", ret, err)
-		}
+	s, th, m := gateSys(t, "pre(check(write, p, 8)) post(if (return == 0) check(write, p, 8))")
+	p := uint64(m.Data)
+	sink, _ := s.FuncByName("gate_sink")
+	fn := uint64(sink.Addr)
+	// A kernel-written slot holding the module's "cross" entry, for the
+	// kernel-side indirect rows.
+	s.RegisterFPtrType("cross_fn", []Param{P("p", "u64"), P("n", "u64"), P("fn", "u64")}, "")
+	gCross := s.BindIndirect("cross_fn")
+	slot := s.Statics.Alloc(8, 8)
+	if err := s.AS.WriteU64(slot, uint64(m.Funcs["cross"].Addr)); err != nil {
+		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if ret, err := th.CallModule(m, "cross", args...); err != nil || ret != 0 {
-			t.Fatal("crossing failed")
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warm gate crossing allocates %.2f allocs/op, want 0", allocs)
+	rows := []struct {
+		name string
+		call func() (uint64, error)
+	}{
+		{"Gate.Call", func() (uint64, error) { return th.CallModule(m, "cross", p, 8, fn) }},
+		{"IndGate.Call", func() (uint64, error) { return gCross.Call(th, slot, p, 8, fn) }},
+		{"IndGate.CallAddr", func() (uint64, error) { return th.CallModule(m, "viaptr", p, 8, fn) }},
+		{"CallKernel", func() (uint64, error) { return th.CallModule(m, "named", p, 8, fn) }},
+		{"CallModule", func() (uint64, error) { return th.CallModule(m, "leaf", p, 8, fn) }},
+		{"IndirectCall", func() (uint64, error) { return th.IndirectCall(slot, "cross_fn", p, 8, fn) }},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			// Warm the env pool, the arg stack, and the check cache.
+			for i := 0; i < 16; i++ {
+				if ret, err := r.call(); err != nil || ret != 0 {
+					t.Fatalf("warmup crossing failed: ret=%d err=%v", ret, err)
+				}
+			}
+			allocs := testing.AllocsPerRun(200, func() {
+				if ret, err := r.call(); err != nil || ret != 0 {
+					t.Fatal("crossing failed")
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("warm %s crossing allocates %.2f allocs/op, want 0", r.name, allocs)
+			}
+		})
 	}
 }
 
 // TestGateUnknownImportPanics pins the bind-time failure mode.
 func TestGateUnknownImportPanics(t *testing.T) {
-	_, _, m, _ := gateSys(t, "")
+	_, _, m := gateSys(t, "")
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Gate on a non-import must panic at bind time")
@@ -101,7 +146,7 @@ func TestGateUnknownImportPanics(t *testing.T) {
 // CallModule) on an unknown name must land in Monitor.Stats so
 // violation accounting sees symbol-probing modules.
 func TestFailedResolutionStat(t *testing.T) {
-	s, th, m, _ := gateSys(t, "")
+	s, th, m := gateSys(t, "")
 	before := s.Mon.Stats.Snapshot()
 	if _, err := th.CallKernel("no_such_export", 1); err == nil {
 		t.Fatal("unknown kernel function must error")
@@ -139,7 +184,7 @@ func TestRefVerdictCachedAndRevocable(t *testing.T) {
 		Funcs: []FuncSpec{
 			{Name: "cross", Params: []Param{P("obj", "u64")},
 				Impl: func(th *Thread, a []uint64) uint64 {
-					ret, err := th.CurrentModule().Gate("ref_sink").Call1(th, a[0])
+					ret, err := th.CurrentModule().Gate("ref_sink").Call(th, a[0])
 					if err != nil || ret != 0 {
 						return 1
 					}
@@ -199,7 +244,7 @@ func TestRefCacheTypeConfusion(t *testing.T) {
 		Funcs: []FuncSpec{
 			{Name: "crossa", Params: []Param{P("obj", "u64")},
 				Impl: func(th *Thread, a []uint64) uint64 {
-					ret, err := th.CurrentModule().Gate("sink_a").Call1(th, a[0])
+					ret, err := th.CurrentModule().Gate("sink_a").Call(th, a[0])
 					if err != nil || ret != 0 {
 						return 1
 					}
@@ -207,7 +252,7 @@ func TestRefCacheTypeConfusion(t *testing.T) {
 				}},
 			{Name: "crossb", Params: []Param{P("obj", "u64")},
 				Impl: func(th *Thread, a []uint64) uint64 {
-					ret, err := th.CurrentModule().Gate("sink_b").Call1(th, a[0])
+					ret, err := th.CurrentModule().Gate("sink_b").Call(th, a[0])
 					if err != nil || ret != 0 {
 						return 1
 					}

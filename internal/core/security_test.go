@@ -126,8 +126,9 @@ func TestAttackMatrix(t *testing.T) {
 			wantViolation: true,
 			build: func(f *fixture) core.Impl {
 				target, _ := f.sys.FuncByName("printk")
+				gHandler := f.sys.BindIndirect("ops.handler")
 				return func(th *core.Thread, args []uint64) uint64 {
-					if _, err := th.CallAddr(target.Addr, "ops.handler", 0, 0); err != nil {
+					if _, err := gHandler.CallAddr(th, target.Addr, 0, 0); err != nil {
 						return 0
 					}
 					return 1

@@ -59,11 +59,11 @@ type Thread struct {
 	envFree []*argEnv
 	capFree [][]caps.Cap
 
-	// argStack is the thread's crossing-argument stack: the Gate fast
-	// calls (gate.go) push their fixed arguments here and pass a slice
-	// of it down the wrapper path, so module-side crossings build no
-	// argument slice. Frames nest with crossings; each call truncates
-	// back to its base on return.
+	// argStack is the thread's crossing-argument stack: every crossing
+	// entry point (gate.go pushArgs) copies its arguments here and
+	// passes a slice of it down the wrapper path, so no crossing builds
+	// a heap argument slice. Frames nest with crossings; each call
+	// truncates back to its base on return.
 	argStack []uint64
 
 	// iterBuf and emit serve capability-iterator resolution: emit is a
@@ -73,11 +73,11 @@ type Thread struct {
 	iterBuf []caps.Cap
 	emit    func(caps.Cap) error
 
-	// iargBuf is the scratch slice for iterator arguments. A local
+	// iterArgs is the scratch slice for iterator arguments. A local
 	// array would escape through the indirect iterator call, costing
 	// one heap allocation per iterator-form crossing; resolveIterCaps
 	// swaps this buffer stack-style the same way it does iterBuf.
-	iargBuf []int64
+	iterArgs []int64
 
 	// pendChecks/pendMisses/pendMemWrites tally guard executions
 	// locally; they are folded into Monitor.Stats at wrapper exits and

@@ -20,16 +20,15 @@ import (
 // statement-equivalents (a call plus a branch).
 const guardStmtCost = 2
 
-// guardMethods are the Thread methods whose call sites the rewriter
-// instruments (stores and cross-domain calls).
+// guardMethods are the methods whose call sites the rewriter
+// instruments: Thread stores and cross-domain calls, plus the
+// bound-gate crossing entry points (gate.go: Gate.Call, IndGate.Call,
+// IndGate.CallAddr), which run the same wrapper and guards resolved at
+// bind time.
 var guardMethods = map[string]bool{
 	"Write": true, "WriteU64": true, "WriteU32": true, "WriteU16": true,
 	"WriteU8": true, "Zero": true,
-	"CallKernel": true, "CallAddr": true,
-	// Bound-gate crossing entry points (gate.go): same wrapper, same
-	// guards, resolved at bind time.
-	"Call0": true, "Call1": true, "Call2": true, "Call3": true,
-	"Call4": true, "Call5": true, "Call6": true, "CallArgs": true,
+	"CallKernel": true, "Call": true, "CallAddr": true,
 }
 
 // workloadFuncs maps each Fig. 11 benchmark to the constructor whose

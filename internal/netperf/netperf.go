@@ -396,6 +396,7 @@ func GuardCosts() (*GuardCostSet, error) {
 		k.Sys.Mon.SetMode(mode)
 		th := k.Sys.NewThread("cost")
 		var buf uint64
+		var gKmalloc, gSpinLock, gSpinLockInit *core.Gate // bound after load
 		m, err := k.Sys.LoadModule(core.ModuleSpec{
 			Name:     "cost",
 			Imports:  []string{"kmalloc", "spin_lock", "spin_lock_init"},
@@ -407,13 +408,13 @@ func GuardCosts() (*GuardCostSet, error) {
 					return 0
 				}},
 				{Name: "annot", Impl: func(t *core.Thread, a []uint64) uint64 {
-					_, _ = t.CallKernel("spin_lock", buf)
+					_, _ = gSpinLock.Call(t, buf)
 					return 0
 				}},
 				{Name: "setup", Impl: func(t *core.Thread, a []uint64) uint64 {
-					b, _ := t.CallKernel("kmalloc", 64)
+					b, _ := gKmalloc.Call(t, 64)
 					buf = b
-					_, _ = t.CallKernel("spin_lock_init", b)
+					_, _ = gSpinLockInit.Call(t, b)
 					return 0
 				}},
 			},
@@ -421,6 +422,7 @@ func GuardCosts() (*GuardCostSet, error) {
 		if err != nil {
 			return nil, nil, 0, err
 		}
+		gKmalloc, gSpinLock, gSpinLockInit = m.Gate("kmalloc"), m.Gate("spin_lock"), m.Gate("spin_lock_init")
 		if _, err := th.CallModule(m, "setup"); err != nil {
 			return nil, nil, 0, err
 		}
@@ -499,6 +501,8 @@ func GuardCosts() (*GuardCostSet, error) {
 	if err := rig.K.Sys.AS.WriteU64(fastSlot, target); err != nil {
 		return nil, err
 	}
+	// The uncached IndirectCall, not a bound IndGate: a gate's slot-cache
+	// hit would skip the writer-set check this comparison measures.
 	timeInd := func(slot mem.Addr) (float64, error) {
 		start := time.Now()
 		for i := 0; i < iters; i++ {

@@ -34,6 +34,7 @@ func NewStrictRig(mode core.Mode) (*StrictRig, error) {
 	r := &StrictRig{K: k, Stack: st, Th: th}
 
 	imports := append([]string{"alloc_etherdev", "register_netdev"}, netstack.StrictImports...)
+	var gSetLen, gFree, gAllocDev, gRegister *core.Gate // bound after load
 	m, err := k.Sys.LoadModule(core.ModuleSpec{
 		Name:     "e1000-strict",
 		Imports:  imports,
@@ -49,11 +50,11 @@ func NewStrictRig(mode core.Mode) (*StrictRig, error) {
 					if err := t.WriteU8(mem.Addr(data), 0x1); err != nil {
 						return ^uint64(0)
 					}
-					if ret, err := t.CallKernel("skb_set_len", uint64(skb), 60); err != nil || kernel.IsErr(ret) {
+					if ret, err := gSetLen.Call(t, uint64(skb), 60); err != nil || kernel.IsErr(ret) {
 						return ^uint64(0)
 					}
 					r.Sent++
-					if _, err := t.CallKernel("kfree_skb_strict", uint64(skb)); err != nil {
+					if _, err := gFree.Call(t, uint64(skb)); err != nil {
 						return ^uint64(0)
 					}
 					return 0
@@ -62,7 +63,7 @@ func NewStrictRig(mode core.Mode) (*StrictRig, error) {
 			{
 				Name: "setup",
 				Impl: func(t *core.Thread, args []uint64) uint64 {
-					dev, err := t.CallKernel("alloc_etherdev")
+					dev, err := gAllocDev.Call(t)
 					if err != nil || dev == 0 {
 						return 1
 					}
@@ -74,7 +75,7 @@ func NewStrictRig(mode core.Mode) (*StrictRig, error) {
 					if err := t.WriteU64(st.DevField(r.Dev, "ops"), uint64(mod.Data)); err != nil {
 						return 3
 					}
-					if ret, err := t.CallKernel("register_netdev", dev); err != nil || kernel.IsErr(ret) {
+					if ret, err := gRegister.Call(t, dev); err != nil || kernel.IsErr(ret) {
 						return 4
 					}
 					return 0
@@ -85,6 +86,8 @@ func NewStrictRig(mode core.Mode) (*StrictRig, error) {
 	if err != nil {
 		return nil, err
 	}
+	gSetLen, gFree = m.Gate("skb_set_len"), m.Gate("kfree_skb_strict")
+	gAllocDev, gRegister = m.Gate("alloc_etherdev"), m.Gate("register_netdev")
 	if ret, err := th.CallModule(m, "setup"); err != nil || ret != 0 {
 		return nil, fmt.Errorf("netperf: strict setup failed: ret=%d err=%v", ret, err)
 	}

@@ -178,7 +178,7 @@ func (s *Stack) EnqueueTx(t *core.Thread, dev, skb mem.Addr, owner *caps.Princip
 	if err != nil {
 		return err
 	}
-	if _, err := s.gQdiscEnq.Call2(t, qd+mem.Addr(s.qdisc.Off("enqueue")), uint64(qd), uint64(skb)); err != nil {
+	if _, err := s.gQdiscEnq.Call(t, qd+mem.Addr(s.qdisc.Off("enqueue")), uint64(qd), uint64(skb)); err != nil {
 		return err
 	}
 	if owner != nil {
@@ -217,7 +217,7 @@ func (s *Stack) DrainTx(t *core.Thread, dev mem.Addr, budget int) (consumed, den
 	var owners [TxBatchMax]*caps.Principal
 	n := 0
 	for n < budget {
-		out, err := s.gQdiscDeq.Call1(t, qd+mem.Addr(s.qdisc.Off("dequeue")), uint64(qd))
+		out, err := s.gQdiscDeq.Call(t, qd+mem.Addr(s.qdisc.Off("dequeue")), uint64(qd))
 		if err != nil {
 			return 0, denied, err
 		}
@@ -251,7 +251,7 @@ func (s *Stack) DrainTx(t *core.Thread, dev mem.Addr, budget int) (consumed, den
 		return 0, denied, fmt.Errorf("netstack: device %#x has no ops", uint64(dev))
 	}
 	slot := mem.Addr(ops) + mem.Addr(s.nops.Off("ndo_start_xmit_batch"))
-	ret, err := s.gStartXmitBatch.Call3(t, slot, uint64(arr), uint64(n), uint64(dev))
+	ret, err := s.gStartXmitBatch.Call(t, slot, uint64(arr), uint64(n), uint64(dev))
 	if err != nil {
 		return 0, denied, err
 	}

@@ -514,10 +514,10 @@ func (s *Stack) XmitSkb(t *core.Thread, dev, skb mem.Addr) (uint64, error) {
 		return 0, fmt.Errorf("netstack: device %#x has no qdisc", uint64(dev))
 	}
 	qd := mem.Addr(q)
-	if _, err := s.gQdiscEnq.Call2(t, qd+mem.Addr(s.qdisc.Off("enqueue")), uint64(qd), uint64(skb)); err != nil {
+	if _, err := s.gQdiscEnq.Call(t, qd+mem.Addr(s.qdisc.Off("enqueue")), uint64(qd), uint64(skb)); err != nil {
 		return 0, err
 	}
-	out, err := s.gQdiscDeq.Call1(t, qd+mem.Addr(s.qdisc.Off("dequeue")), uint64(qd))
+	out, err := s.gQdiscDeq.Call(t, qd+mem.Addr(s.qdisc.Off("dequeue")), uint64(qd))
 	if err != nil || out == 0 {
 		return 0, err
 	}
@@ -526,7 +526,7 @@ func (s *Stack) XmitSkb(t *core.Thread, dev, skb mem.Addr) (uint64, error) {
 		return 0, fmt.Errorf("netstack: device %#x has no ops", uint64(dev))
 	}
 	slot := mem.Addr(ops) + mem.Addr(s.nops.Off("ndo_start_xmit"))
-	return s.gStartXmit.Call2(t, slot, out, uint64(dev))
+	return s.gStartXmit.Call(t, slot, out, uint64(dev))
 }
 
 // Poll invokes the device's registered NAPI poll callback with a budget,
@@ -543,7 +543,7 @@ func (s *Stack) Poll(t *core.Thread, dev mem.Addr, budget uint64) (uint64, error
 	if !ok {
 		return 0, fmt.Errorf("netstack: no NAPI context for device %#x", uint64(dev))
 	}
-	return s.gNapiPoll.Call2(t, slot, uint64(dev), budget)
+	return s.gNapiPoll.Call(t, slot, uint64(dev), budget)
 }
 
 // PopRx removes and returns the oldest packet delivered via netif_rx
@@ -591,7 +591,7 @@ func (s *Stack) Socket(t *core.Thread, familyID uint64) (_ mem.Addr, rerr error)
 	if err != nil {
 		return 0, err
 	}
-	ret, err := s.gCreate.Call1(t, fam.createSlot, uint64(sock))
+	ret, err := s.gCreate.Call(t, fam.createSlot, uint64(sock))
 	if err != nil {
 		return 0, err
 	}
@@ -637,7 +637,7 @@ func (s *Stack) Sendmsg(t *core.Thread, sock, buf mem.Addr, n, flags uint64) (_ 
 	if err != nil {
 		return 0, err
 	}
-	return s.gSendmsg.Call4(t, slot, uint64(sock), uint64(buf), n, flags)
+	return s.gSendmsg.Call(t, slot, uint64(sock), uint64(buf), n, flags)
 }
 
 // Recvmsg implements recvmsg(2).
@@ -648,7 +648,7 @@ func (s *Stack) Recvmsg(t *core.Thread, sock, buf mem.Addr, n, flags uint64) (_ 
 	if err != nil {
 		return 0, err
 	}
-	return s.gRecvmsg.Call4(t, slot, uint64(sock), uint64(buf), n, flags)
+	return s.gRecvmsg.Call(t, slot, uint64(sock), uint64(buf), n, flags)
 }
 
 // Bind implements bind(2).
@@ -659,7 +659,7 @@ func (s *Stack) Bind(t *core.Thread, sock, addr mem.Addr, n uint64) (_ uint64, r
 	if err != nil {
 		return 0, err
 	}
-	return s.gBind.Call3(t, slot, uint64(sock), uint64(addr), n)
+	return s.gBind.Call(t, slot, uint64(sock), uint64(addr), n)
 }
 
 // Ioctl implements ioctl(2) on a socket — the kernel path both the RDS
@@ -670,7 +670,7 @@ func (s *Stack) Ioctl(t *core.Thread, sock mem.Addr, cmd, arg uint64) (uint64, e
 	if err != nil {
 		return 0, err
 	}
-	return s.gIoctl.Call3(t, slot, uint64(sock), cmd, arg)
+	return s.gIoctl.Call(t, slot, uint64(sock), cmd, arg)
 }
 
 // Release implements close(2). After the module's release callback
@@ -684,7 +684,7 @@ func (s *Stack) Release(t *core.Thread, sock mem.Addr) (_ uint64, rerr error) {
 		unlock()
 		return 0, err
 	}
-	ret, err := s.gRelease.Call1(t, slot, uint64(sock))
+	ret, err := s.gRelease.Call(t, slot, uint64(sock))
 	if err != nil {
 		unlock()
 		return ret, err

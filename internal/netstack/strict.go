@@ -106,10 +106,10 @@ func (s *Stack) XmitSkbStrict(t *core.Thread, dev, skb mem.Addr) (uint64, error)
 		return 0, errNoQdisc(dev)
 	}
 	qd := mem.Addr(q)
-	if _, err := s.gQdiscEnq.Call2(t, qd+mem.Addr(s.qdisc.Off("enqueue")), uint64(qd), uint64(skb)); err != nil {
+	if _, err := s.gQdiscEnq.Call(t, qd+mem.Addr(s.qdisc.Off("enqueue")), uint64(qd), uint64(skb)); err != nil {
 		return 0, err
 	}
-	out, err := s.gQdiscDeq.Call1(t, qd+mem.Addr(s.qdisc.Off("dequeue")), uint64(qd))
+	out, err := s.gQdiscDeq.Call(t, qd+mem.Addr(s.qdisc.Off("dequeue")), uint64(qd))
 	if err != nil || out == 0 {
 		return 0, err
 	}
@@ -118,7 +118,7 @@ func (s *Stack) XmitSkbStrict(t *core.Thread, dev, skb mem.Addr) (uint64, error)
 		return 0, errNoQdisc(dev)
 	}
 	slot := mem.Addr(ops) + mem.Addr(s.nops.Off("ndo_start_xmit"))
-	return s.gStartXmitStrict.Call2(t, slot, out, uint64(dev))
+	return s.gStartXmitStrict.Call(t, slot, out, uint64(dev))
 }
 
 type errNoQdisc mem.Addr
