@@ -190,15 +190,23 @@ func (as *AddressSpace) access(op string, addr Addr, buf []byte, write bool) err
 	return nil
 }
 
+// zeroPage is one page of zero bytes, the source Zero writes from.
+var zeroPage [PageSize]byte
+
 // Zero fills [addr, addr+size) with zero bytes.
 func (as *AddressSpace) Zero(addr Addr, size uint64) error {
-	var zeros [PageSize]byte
+	return as.fill(addr, size, &zeroPage)
+}
+
+// fill writes [addr, addr+size) from page, one PageSize chunk at a
+// time; page is only read.
+func (as *AddressSpace) fill(addr Addr, size uint64, page *[PageSize]byte) error {
 	for size > 0 {
 		chunk := uint64(PageSize)
 		if size < chunk {
 			chunk = size
 		}
-		if err := as.Write(addr, zeros[:chunk]); err != nil {
+		if err := as.Write(addr, page[:chunk]); err != nil {
 			return err
 		}
 		addr += Addr(chunk)

@@ -253,6 +253,35 @@ func TestSlabZeroedAndPoisoned(t *testing.T) {
 	}
 }
 
+// TestSlabPoisonsEveryFreedByte: a page-class object and a multi-page
+// object are poisoned end to end, and the shared poison source itself
+// stays intact across frees.
+func TestSlabPoisonsEveryFreedByte(t *testing.T) {
+	as, s := newSlab()
+	for _, size := range []uint64{PageSize, 3*PageSize + 1} {
+		a, err := s.Alloc(size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		class, _ := s.ObjectSize(a)
+		if err := as.Write(a, bytes.Repeat([]byte{0xff}, int(class))); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Free(a); err != nil {
+			t.Fatal(err)
+		}
+		b, _ := as.ReadBytes(a, class)
+		for i, v := range b {
+			if v != 0x6b {
+				t.Fatalf("size %d: byte %d not poisoned: %#x", size, i, v)
+			}
+		}
+	}
+	if !bytes.Equal(poisonPage[:], bytes.Repeat([]byte{0x6b}, PageSize)) {
+		t.Fatal("poison source modified")
+	}
+}
+
 func TestSlabLargeAlloc(t *testing.T) {
 	_, s := newSlab()
 	a, err := s.Alloc(3 * PageSize)

@@ -49,6 +49,15 @@ type sizeClass struct {
 // SizeClasses are the kmalloc size classes of the simulated kernel.
 var SizeClasses = []uint64{8, 16, 32, 64, 96, 128, 192, 256, 512, 1024, 2048, 4096}
 
+// poisonPage is one page of the free-poison byte. Free writes from it
+// and never modifies it.
+var poisonPage = func() (p [PageSize]byte) {
+	for i := range p {
+		p[i] = 0x6b
+	}
+	return p
+}()
+
 var (
 	// ErrBadFree is returned when freeing an address that is not the
 	// base of a live allocation.
@@ -147,11 +156,7 @@ func (s *Slab) Free(addr Addr) error {
 	}
 	delete(s.objects, addr)
 	s.frees++
-	poison := make([]byte, info.class)
-	for i := range poison {
-		poison[i] = 0x6b
-	}
-	if err := s.as.Write(addr, poison); err != nil {
+	if err := s.as.fill(addr, info.class, &poisonPage); err != nil {
 		return err
 	}
 	if info.class > 4096 {

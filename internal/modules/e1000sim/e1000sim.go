@@ -61,6 +61,15 @@ type Nic struct {
 	mu      sync.Mutex
 	rxq     [][]byte
 	batchRx bool
+
+	// txMu is the TX queue lock: it orders every pair of descriptor
+	// writes, so two TX threads never write one slot unordered, not
+	// even a full ring apart. It lives with the NIC, not the driver, so
+	// it also orders the writes of successive driver generations, whose
+	// rings may reuse one address across a reload. txTail is the next
+	// slot, like the TDT register.
+	txMu   sync.Mutex
+	txTail uint64
 }
 
 // InjectRx queues a frame for reception.
@@ -161,7 +170,6 @@ type Driver struct {
 
 	ring   mem.Addr // TX descriptor ring (kmalloc'd, module-owned)
 	rxArr  mem.Addr // RX batch skb-pointer array (kmalloc'd, module-owned)
-	txHead uint64
 	opened bool
 }
 
@@ -305,15 +313,9 @@ func (d *Driver) txOne(t *core.Thread, skb mem.Addr) bool {
 	data, _ := t.ReadU64(st.SkbField(skb, "data"))
 	length, _ := t.ReadU64(st.SkbField(skb, "len"))
 
-	// Write the descriptor through the capability system.
-	slot := d.ring + mem.Addr((d.txHead%TxRingEntries)*descSize)
-	if err := t.WriteU64(slot, data); err != nil {
+	if !d.writeDesc(t, data, length) {
 		return false
 	}
-	if err := t.WriteU64(slot+8, length); err != nil {
-		return false
-	}
-	d.txHead++
 
 	// "DMA": the NIC reads the payload and puts the frame on the wire.
 	frame, err := t.ReadBytes(mem.Addr(data), length)
@@ -325,6 +327,20 @@ func (d *Driver) txOne(t *core.Thread, skb mem.Addr) bool {
 	if d.Nic.OnTx != nil {
 		d.Nic.OnTx(frame)
 	}
+	return true
+}
+
+// writeDesc writes one TX descriptor (payload address and length)
+// into the next ring slot through the capability system.
+func (d *Driver) writeDesc(t *core.Thread, data, length uint64) bool {
+	n := d.Nic
+	n.txMu.Lock()
+	defer n.txMu.Unlock()
+	slot := d.ring + mem.Addr((n.txTail%TxRingEntries)*descSize)
+	if t.WriteU64(slot, data) != nil || t.WriteU64(slot+8, length) != nil {
+		return false
+	}
+	n.txTail++
 	return true
 }
 

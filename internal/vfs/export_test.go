@@ -1,0 +1,30 @@
+package vfs
+
+import "lxfi/internal/mem"
+
+// PageID names one cached page by inode and page index.
+type PageID struct {
+	Ino mem.Addr
+	Idx uint64
+}
+
+// LRUOrder returns the pages on the eviction LRU, least recently used
+// first.
+func (v *VFS) LRUOrder() []PageID {
+	v.pageMu.Lock()
+	defer v.pageMu.Unlock()
+	out := make([]PageID, 0, v.lru.Len())
+	for e := v.lru.Front(); e != nil; e = e.Next() {
+		key := e.Value.(pageKey)
+		out = append(out, PageID{key.ino, key.idx})
+	}
+	return out
+}
+
+// HoldMount takes the mount's operation lock, as an operation running
+// on another thread would, and returns the function that releases it.
+func (v *VFS) HoldMount(sb mem.Addr) (release func()) {
+	mnt := v.mountOf(sb)
+	mnt.mu.Lock()
+	return mnt.mu.Unlock
+}

@@ -47,12 +47,15 @@ func (v *VFS) touchPage(key pageKey) {
 	}
 }
 
-// insertPage records a fresh page in the cache and the LRU list, then
-// applies the budget. Caller holds holder.mu but not pageMu.
+// insertPage records a fresh page in the cache and, unless the mount
+// is memory-only, on the LRU list, then applies the budget. Caller
+// holds holder.mu but not pageMu.
 func (v *VFS) insertPage(t *core.Thread, holder *mount, key pageKey, pg mem.Addr) {
 	v.pageMu.Lock()
 	v.pages[key] = pg
-	v.lruPos[key] = v.lru.PushBack(key)
+	if !holder.memOnly {
+		v.lruPos[key] = v.lru.PushBack(key)
+	}
 	v.pageMu.Unlock()
 	v.evictForBudget(t, holder, &key)
 }
@@ -74,42 +77,43 @@ func (v *VFS) removePageLocked(key pageKey) {
 	}
 }
 
-// evictForBudget walks the LRU end of the cache until it fits the
+// evictForBudget evicts from the LRU front until the cache fits the
 // budget. keep, when non-nil, is the page the caller just inserted and
 // is still using: it is never a victim, even when another thread's
-// insert has since pushed it off the LRU tail. Unevictable pages
-// (memory-only mounts, failed writebacks, mounts whose lock another
-// thread holds) are skipped, so the cache can exceed the budget when
-// nothing else remains. holder is the mount whose lock the calling
-// thread already holds (nil when none).
+// insert has since pushed it off the LRU tail. Memory-only pages are
+// not on the LRU at all. A victim that refuses eviction (writeback
+// failed, its mount is busy on another thread, or its mount turned
+// memory-only after mounting) rotates to the MRU end, and a pass gives
+// up after as many attempts as the LRU held at its start — so the
+// cache can exceed the budget when nothing evictable remains. holder
+// is the mount whose lock the calling thread already holds (nil when
+// none).
 func (v *VFS) evictForBudget(t *core.Thread, holder *mount, keep *pageKey) {
-	// skip remembers victims that refused eviction this pass; allocated
-	// lazily so the common unlimited-budget insert pays nothing extra.
-	var skip map[pageKey]bool
+	attempts := -1 // set from the LRU length once the cache is over budget
 	for {
 		v.pageMu.Lock()
 		if v.pageBudget <= 0 || len(v.pages) <= v.pageBudget {
 			v.pageMu.Unlock()
 			return
 		}
-		var victim pageKey
-		found := false
-		for e := v.lru.Front(); e != nil; e = e.Next() {
-			key := e.Value.(pageKey)
-			if !skip[key] && (keep == nil || key != *keep) {
-				victim, found = key, true
-				break
-			}
+		if attempts < 0 {
+			attempts = v.lru.Len()
 		}
+		e := v.lru.Front()
+		if e != nil && keep != nil && e.Value.(pageKey) == *keep {
+			e = e.Next()
+		}
+		if e == nil || attempts == 0 {
+			v.pageMu.Unlock()
+			return // nothing evictable remains this pass
+		}
+		attempts--
+		victim := e.Value.(pageKey)
 		v.pageMu.Unlock()
-		if !found {
-			return // nothing evictable remains
-		}
 		if !v.evictPage(t, holder, victim) {
-			if skip == nil {
-				skip = make(map[pageKey]bool)
-			}
-			skip[victim] = true
+			v.pageMu.Lock()
+			v.touchPage(victim)
+			v.pageMu.Unlock()
 		}
 	}
 }

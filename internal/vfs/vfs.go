@@ -125,6 +125,10 @@ type mount struct {
 	mu   sync.Mutex
 	dead bool // set by Unmount; operations that lost the race fail
 
+	// memOnly snapshots SBMemOnly as the module's mount callback left
+	// it. Pages of a memory-only mount never enter the eviction LRU.
+	memOnly bool
+
 	// dentries is this mount's dentry cache: one dnode per cached
 	// dentry, with children keyed by path component (the M-way-trie
 	// shape). Guarded by mu.
@@ -182,10 +186,13 @@ type VFS struct {
 	// aged at least one full tick.
 	dirtyTick map[pageKey]uint64
 
-	// lru orders the cached pages least- to most-recently used; lruPos
-	// indexes the list elements by page key. pageBudget caps the cache
-	// size (0 = unlimited): inserting past the budget evicts from the
-	// LRU end, forcing writeback for dirty victims.
+	// lru orders the evictable cached pages least- to most-recently
+	// used; lruPos indexes the list elements by page key. Pages of
+	// memory-only mounts stay off the list (the unevictable list in its
+	// simplest form), so victim selection never walks past them.
+	// pageBudget caps the cache size (0 = unlimited) and counts every
+	// cached page, on the list or not: inserting past the budget evicts
+	// from the LRU end, forcing writeback for dirty victims.
 	lru        *list.List
 	lruPos     map[pageKey]*list.Element
 	pageBudget int
@@ -612,8 +619,10 @@ func (v *VFS) Mount(t *core.Thread, fsid, dev uint64) (_ mem.Addr, rerr error) {
 	}
 	// The mount object exists before it is published in the mount table,
 	// so the root dentry can go straight into its private cache.
+	flags, _ := sys.AS.ReadU64(v.SBField(sb, "flags"))
 	mnt := &mount{
 		fs: ft, sb: sb, dev: dev,
+		memOnly:  flags&SBMemOnly != 0,
 		dentries: make(map[mem.Addr]*dnode),
 		nameBuf:  sys.Statics.Alloc(NameMax+1, 8),
 		dirBuf:   sys.Statics.Alloc(NameMax+1, 8),

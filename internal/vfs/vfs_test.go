@@ -22,7 +22,7 @@ type rig struct {
 	th *core.Thread
 }
 
-func newRig(t *testing.T, mode core.Mode) *rig {
+func newRig(t testing.TB, mode core.Mode) *rig {
 	t.Helper()
 	k := kernel.New()
 	k.Sys.Mon.SetMode(mode)
