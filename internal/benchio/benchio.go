@@ -59,6 +59,14 @@ func FailUsage(msg string) {
 	exit(2)
 }
 
+// OverheadPct is x's cost over base in percent; 0 without a base.
+func OverheadPct(base, x float64) float64 {
+	if base <= 0 {
+		return 0
+	}
+	return 100 * (x - base) / base
+}
+
 // EmitReport writes the archived BENCH artifact to stdout — in -json
 // mode this must be the only stdout write the command performs.
 func EmitReport(out []byte) {

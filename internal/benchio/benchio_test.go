@@ -2,6 +2,7 @@ package benchio
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -74,3 +75,40 @@ func TestFailPathsUseStderrAndExitCodes(t *testing.T) {
 type errString string
 
 func (e errString) Error() string { return string(e) }
+
+func TestDeclaredFindsBoundsAndMissingFields(t *testing.T) {
+	doc := map[string]any{
+		"bench": "x",
+		"results": []any{map[string]any{"fs": "tmpfs", "rows": []any{
+			map[string]any{"op": "create", "lxfi_ns": 5.0, "bounds": Bounds{"lxfi_ns": AtMost(ReloadMaxNs)}},
+		}}},
+		"phase": map[string]any{"ratio": 1.2, "bounds": Bounds{
+			"ratio":   Within(1, 1.5),
+			"dropped": AtMost(0),
+		}},
+	}
+	out, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounds, missing, err := Declared(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bounds) != 3 {
+		t.Fatalf("bounds = %v", bounds)
+	}
+	if b := bounds["results/tmpfs/rows/create/lxfi_ns"]; b.Min != nil || *b.Max != ReloadMaxNs {
+		t.Fatalf("row bound = %+v", b)
+	}
+	if b := bounds["phase/ratio"]; *b.Min != 1 || *b.Max != 1.5 {
+		t.Fatalf("phase bound = %+v", b)
+	}
+	if len(missing) != 1 || missing[0] != "phase/dropped" {
+		t.Fatalf("missing = %v, want [phase/dropped]", missing)
+	}
+	// A zero end is still emitted: "max": 0 must not vanish as empty.
+	if !strings.Contains(string(out), `"dropped":{"max":0}`) {
+		t.Fatalf("zero bound not encoded: %s", out)
+	}
+}

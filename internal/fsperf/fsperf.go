@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"lxfi/internal/benchio"
 	"lxfi/internal/blockdev"
 	"lxfi/internal/core"
 	"lxfi/internal/kernel"
@@ -442,11 +443,8 @@ func BuildTable(c *Costs) []Row {
 		if !ok {
 			continue
 		}
-		r := Row{Op: op, StockNs: m[core.Off], LxfiNs: m[core.Enforce]}
-		if r.StockNs > 0 {
-			r.Overhead = 100 * (r.LxfiNs - r.StockNs) / r.StockNs
-		}
-		rows = append(rows, r)
+		rows = append(rows, Row{Op: op, StockNs: m[core.Off], LxfiNs: m[core.Enforce],
+			Overhead: benchio.OverheadPct(m[core.Off], m[core.Enforce])})
 	}
 	return rows
 }
@@ -757,12 +755,8 @@ func MeasureReload(kind Kind, fileSize uint64) (*ReloadCosts, error) {
 // FormatReload renders the hot-reload phase line for one filesystem.
 func FormatReload(r *ReloadCosts) string {
 	stock, lxfi := r.Total[core.Off], r.Total[core.Enforce]
-	overhead := 0.0
-	if stock > 0 {
-		overhead = 100 * (lxfi - stock) / stock
-	}
 	return fmt.Sprintf("%-14s %14.0f %14.0f %9.0f%%  (%d reloads under traffic, %d caps migrated)\n",
-		"hot reload", stock, lxfi, overhead, r.Reloads, r.Migrated)
+		"hot reload", stock, lxfi, benchio.OverheadPct(stock, lxfi), r.Reloads, r.Migrated)
 }
 
 // --- journal phase ---
@@ -779,6 +773,14 @@ type JournalCosts struct {
 	ExchangeNs  map[core.Mode]float64
 	WritesPerOp float64 // sector writes per journaled rename (build-independent)
 }
+
+// The journal's write-amplification budget in sector writes per
+// journaled rename: at least the intent and commit, at most double the
+// four (intent + commit + apply + checkpoint) the protocol writes today.
+const (
+	JournalMinWritesPerOp = 2
+	JournalMaxWritesPerOp = 8
+)
 
 // measureJournalMode runs the journal phase for one mode on a fresh rig.
 func measureJournalMode(mode core.Mode, files int, out *JournalCosts) error {
@@ -882,12 +884,8 @@ func MeasureJournal(files int) (*JournalCosts, error) {
 // FormatJournal renders the journal phase line.
 func FormatJournal(j *JournalCosts) string {
 	stock, lxfi := j.RenameNs[core.Off], j.RenameNs[core.Enforce]
-	overhead := 0.0
-	if stock > 0 {
-		overhead = 100 * (lxfi - stock) / stock
-	}
 	return fmt.Sprintf("%-14s %14.0f %14.0f %9.0f%%  (%.1f sector writes/op)\n",
-		"journal rename", stock, lxfi, overhead, j.WritesPerOp)
+		"journal rename", stock, lxfi, benchio.OverheadPct(stock, lxfi), j.WritesPerOp)
 }
 
 // jsonRow mirrors Row with stable snake_case keys for the CI artifact.
@@ -918,15 +916,15 @@ type jsonFS struct {
 
 // jsonJournal reports the journaled-metadata phase: write-ahead rename
 // and exchange costs under both builds and the sector writes one
-// journaled rename performs. perf_gate.py gates the rename overhead and
-// the write amplification.
+// journaled rename performs, bounded by the journal budget.
 type jsonJournal struct {
-	StockRenameNs   float64 `json:"stock_rename_ns"`
-	LxfiRenameNs    float64 `json:"lxfi_rename_ns"`
-	StockExchangeNs float64 `json:"stock_exchange_ns"`
-	LxfiExchangeNs  float64 `json:"lxfi_exchange_ns"`
-	OverheadPct     float64 `json:"overhead_pct"`
-	WritesPerOp     float64 `json:"writes_per_op"`
+	StockRenameNs   float64        `json:"stock_rename_ns"`
+	LxfiRenameNs    float64        `json:"lxfi_rename_ns"`
+	StockExchangeNs float64        `json:"stock_exchange_ns"`
+	LxfiExchangeNs  float64        `json:"lxfi_exchange_ns"`
+	OverheadPct     float64        `json:"overhead_pct"`
+	WritesPerOp     float64        `json:"writes_per_op"`
+	Bounds          benchio.Bounds `json:"bounds"`
 }
 
 // jsonReload reports the hot-reload-under-traffic phase: mean service
@@ -934,22 +932,24 @@ type jsonJournal struct {
 // span) under both builds, with the live-traffic proof (worker op-cycles
 // completed while the reloads ran) and the migrated-capability count.
 type jsonReload struct {
-	Reloads        int     `json:"reloads"`
-	StockQuiesceNs float64 `json:"stock_quiesce_ns"`
-	LxfiQuiesceNs  float64 `json:"lxfi_quiesce_ns"`
-	StockTotalNs   float64 `json:"stock_total_ns"`
-	LxfiTotalNs    float64 `json:"lxfi_total_ns"`
-	StockCycles    int     `json:"stock_worker_cycles"`
-	LxfiCycles     int     `json:"lxfi_worker_cycles"`
-	MigratedCaps   int     `json:"migrated_caps"`
+	Reloads        int            `json:"reloads"`
+	StockQuiesceNs float64        `json:"stock_quiesce_ns"`
+	LxfiQuiesceNs  float64        `json:"lxfi_quiesce_ns"`
+	StockTotalNs   float64        `json:"stock_total_ns"`
+	LxfiTotalNs    float64        `json:"lxfi_total_ns"`
+	StockCycles    int            `json:"stock_worker_cycles"`
+	LxfiCycles     int            `json:"lxfi_worker_cycles"`
+	MigratedCaps   int            `json:"migrated_caps"`
+	Bounds         benchio.Bounds `json:"bounds"`
 }
 
 type jsonConc struct {
-	Workers     int      `json:"workers"`
-	Mounts      []string `json:"mounts"`
-	StockNs     float64  `json:"stock_ns"`
-	LxfiNs      float64  `json:"lxfi_ns"`
-	OverheadPct float64  `json:"overhead_pct"`
+	Workers     int            `json:"workers"`
+	Mounts      []string       `json:"mounts"`
+	StockNs     float64        `json:"stock_ns"`
+	LxfiNs      float64        `json:"lxfi_ns"`
+	OverheadPct float64        `json:"overhead_pct"`
+	Bounds      benchio.Bounds `json:"bounds"`
 }
 
 type jsonDoc struct {
@@ -976,10 +976,11 @@ func JSON(cs []*Costs, conc *ConcurrencyCosts, rls []*ReloadCosts, jrns []*Journ
 					LxfiRenameNs:    j.RenameNs[core.Enforce],
 					StockExchangeNs: j.ExchangeNs[core.Off],
 					LxfiExchangeNs:  j.ExchangeNs[core.Enforce],
+					OverheadPct:     benchio.OverheadPct(j.RenameNs[core.Off], j.RenameNs[core.Enforce]),
 					WritesPerOp:     j.WritesPerOp,
-				}
-				if jj.StockRenameNs > 0 {
-					jj.OverheadPct = 100 * (jj.LxfiRenameNs - jj.StockRenameNs) / jj.StockRenameNs
+					Bounds: benchio.Bounds{
+						"writes_per_op": benchio.Within(JournalMinWritesPerOp, JournalMaxWritesPerOp),
+					},
 				}
 				f.Journal = jj
 			}
@@ -995,6 +996,14 @@ func JSON(cs []*Costs, conc *ConcurrencyCosts, rls []*ReloadCosts, jrns []*Journ
 					StockCycles:    rl.Cycles[core.Off],
 					LxfiCycles:     rl.Cycles[core.Enforce],
 					MigratedCaps:   rl.Migrated,
+					Bounds: benchio.Bounds{
+						"reloads":             benchio.AtLeast(1),
+						"stock_total_ns":      benchio.AtMost(benchio.ReloadMaxNs),
+						"lxfi_total_ns":       benchio.AtMost(benchio.ReloadMaxNs),
+						"stock_worker_cycles": benchio.AtLeast(1),
+						"lxfi_worker_cycles":  benchio.AtLeast(1),
+						"migrated_caps":       benchio.AtLeast(1),
+					},
 				}
 			}
 		}
@@ -1017,13 +1026,12 @@ func JSON(cs []*Costs, conc *ConcurrencyCosts, rls []*ReloadCosts, jrns []*Journ
 	}
 	if conc != nil {
 		jc := &jsonConc{
-			Workers: conc.Workers,
-			Mounts:  conc.Mounts,
-			StockNs: conc.Ns[core.Off],
-			LxfiNs:  conc.Ns[core.Enforce],
-		}
-		if jc.StockNs > 0 {
-			jc.OverheadPct = 100 * (jc.LxfiNs - jc.StockNs) / jc.StockNs
+			Workers:     conc.Workers,
+			Mounts:      conc.Mounts,
+			StockNs:     conc.Ns[core.Off],
+			LxfiNs:      conc.Ns[core.Enforce],
+			OverheadPct: benchio.OverheadPct(conc.Ns[core.Off], conc.Ns[core.Enforce]),
+			Bounds:      benchio.Bounds{"workers": benchio.AtLeast(benchio.MinWorkers)},
 		}
 		doc.Concurrency = jc
 	}
@@ -1033,10 +1041,6 @@ func JSON(cs []*Costs, conc *ConcurrencyCosts, rls []*ReloadCosts, jrns []*Journ
 // FormatConcurrency renders the multi-mount phase line.
 func FormatConcurrency(c *ConcurrencyCosts) string {
 	stock, lxfi := c.Ns[core.Off], c.Ns[core.Enforce]
-	overhead := 0.0
-	if stock > 0 {
-		overhead = 100 * (lxfi - stock) / stock
-	}
 	return fmt.Sprintf("%-14s %14.0f %14.0f %9.0f%%  (%d worker threads: %s)\n",
-		"multi-mount", stock, lxfi, overhead, c.Workers, strings.Join(c.Mounts, "+"))
+		"multi-mount", stock, lxfi, benchio.OverheadPct(stock, lxfi), c.Workers, strings.Join(c.Mounts, "+"))
 }

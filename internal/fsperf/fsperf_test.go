@@ -2,8 +2,11 @@ package fsperf_test
 
 import (
 	"encoding/json"
+	"sort"
+	"strings"
 	"testing"
 
+	"lxfi/internal/benchio"
 	"lxfi/internal/core"
 	"lxfi/internal/fsperf"
 	"lxfi/internal/mem"
@@ -76,22 +79,26 @@ func TestMeasureCostsProducesAllOps(t *testing.T) {
 	}
 }
 
-// TestJSONReportShape: the CI artifact must carry both filesystems and
-// every measured op with nonzero costs under both builds.
+// TestJSONReportShape: the CI artifact must carry both filesystems with
+// every measured op at nonzero cost under both builds, the writeback and
+// hot-reload phases on each filesystem, the journal phase on minix, the
+// concurrency phase, and a bounds block beside every budgeted field.
 func TestJSONReportShape(t *testing.T) {
 	var all []*fsperf.Costs
+	var rls []*fsperf.ReloadCosts
 	for _, kind := range []fsperf.Kind{fsperf.Tmpfs, fsperf.Minix} {
 		c, err := fsperf.MeasureCosts(kind, 4, mem.PageSize)
 		if err != nil {
 			t.Fatal(err)
 		}
 		all = append(all, c)
+		rl, err := fsperf.MeasureReload(kind, mem.PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rls = append(rls, rl)
 	}
 	conc, err := fsperf.MeasureConcurrency(4, mem.PageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rl, err := fsperf.MeasureReload(fsperf.Tmpfs, mem.PageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +106,7 @@ func TestJSONReportShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := fsperf.JSON(all, conc, []*fsperf.ReloadCosts{rl}, []*fsperf.JournalCosts{jrn}, 4, mem.PageSize)
+	out, err := fsperf.JSON(all, conc, rls, []*fsperf.JournalCosts{jrn}, 4, mem.PageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,17 +120,21 @@ func TestJSONReportShape(t *testing.T) {
 				StockNs float64 `json:"stock_ns"`
 				LxfiNs  float64 `json:"lxfi_ns"`
 			} `json:"rows"`
-			Reload *struct {
+			Writeback *struct{} `json:"writeback"`
+			Reload    *struct {
 				Reloads      int     `json:"reloads"`
+				StockTotalNs float64 `json:"stock_total_ns"`
 				LxfiTotalNs  float64 `json:"lxfi_total_ns"`
+				StockCycles  int     `json:"stock_worker_cycles"`
 				LxfiCycles   int     `json:"lxfi_worker_cycles"`
 				MigratedCaps int     `json:"migrated_caps"`
 			} `json:"reload"`
 			Journal *struct {
-				StockRenameNs  float64 `json:"stock_rename_ns"`
-				LxfiRenameNs   float64 `json:"lxfi_rename_ns"`
-				LxfiExchangeNs float64 `json:"lxfi_exchange_ns"`
-				WritesPerOp    float64 `json:"writes_per_op"`
+				StockRenameNs   float64 `json:"stock_rename_ns"`
+				LxfiRenameNs    float64 `json:"lxfi_rename_ns"`
+				StockExchangeNs float64 `json:"stock_exchange_ns"`
+				LxfiExchangeNs  float64 `json:"lxfi_exchange_ns"`
+				WritesPerOp     float64 `json:"writes_per_op"`
 			} `json:"journal"`
 		} `json:"results"`
 		Concurrency *struct {
@@ -139,69 +150,88 @@ func TestJSONReportShape(t *testing.T) {
 	if doc.Bench != "fsperf" || doc.Files != 4 || len(doc.Results) != 2 {
 		t.Fatalf("bad document shape: %s", out)
 	}
+	fses := map[string]bool{}
 	for _, res := range doc.Results {
-		if len(res.Rows) == 0 {
-			t.Fatalf("%s has no rows", res.FS)
-		}
+		fses[res.FS] = true
+		seen := map[string]bool{}
 		for _, row := range res.Rows {
+			seen[row.Op] = true
 			if row.StockNs <= 0 || row.LxfiNs <= 0 {
 				t.Fatalf("%s/%s has a zero cost", res.FS, row.Op)
 			}
 		}
-	}
-	var sawReload bool
-	for _, res := range doc.Results {
-		if res.FS != "tmpfs" {
+		for _, op := range []string{"create", "readdir", "rename", "cache pressure", "unlink"} {
+			if !seen[op] {
+				t.Fatalf("%s is missing the %q row", res.FS, op)
+			}
+		}
+		if res.Writeback == nil {
+			t.Fatalf("%s result is missing the writeback phase", res.FS)
+		}
+		rl := res.Reload
+		if rl == nil {
+			t.Fatalf("%s result is missing the hot-reload phase", res.FS)
+		}
+		if rl.Reloads < 1 || rl.StockTotalNs <= 0 || rl.LxfiTotalNs <= 0 {
+			t.Fatalf("%s: bad reload phase: %+v", res.FS, *rl)
+		}
+		if rl.StockCycles < 1 || rl.LxfiCycles < 1 {
+			t.Fatalf("%s: reload phase ran without live worker traffic", res.FS)
+		}
+		if rl.MigratedCaps < 1 {
+			t.Fatalf("%s: enforced reload migrated no capabilities", res.FS)
+		}
+		if res.FS != string(fsperf.Minix) {
+			if res.Journal != nil {
+				t.Fatalf("%s reported a journal phase", res.FS)
+			}
 			continue
 		}
-		if res.Reload == nil {
-			t.Fatal("tmpfs result is missing the hot-reload phase")
-		}
-		sawReload = true
-		if res.Reload.Reloads < 1 || res.Reload.LxfiTotalNs <= 0 {
-			t.Fatalf("bad reload phase: %+v", *res.Reload)
-		}
-		if res.Reload.LxfiCycles < 1 {
-			t.Fatal("reload phase ran without live worker traffic")
-		}
-		if res.Reload.MigratedCaps < 1 {
-			t.Fatal("enforced reload migrated no capabilities")
-		}
-	}
-	if !sawReload {
-		t.Fatal("no tmpfs result in the artifact")
-	}
-	var sawJournal bool
-	for _, res := range doc.Results {
-		if res.FS != "minix" {
-			continue
-		}
-		if res.Journal == nil {
+		j := res.Journal
+		if j == nil {
 			t.Fatal("minix result is missing the journal phase")
 		}
-		sawJournal = true
-		j := res.Journal
-		if j.StockRenameNs <= 0 || j.LxfiRenameNs <= 0 || j.LxfiExchangeNs <= 0 {
+		if j.StockRenameNs <= 0 || j.LxfiRenameNs <= 0 || j.StockExchangeNs <= 0 || j.LxfiExchangeNs <= 0 {
 			t.Fatalf("journal phase has a zero cost: %+v", *j)
 		}
-		// A journaled rename is intent + commit + apply (+ checkpoint):
-		// more than one sector write, but bounded.
-		if j.WritesPerOp < 2 || j.WritesPerOp > 16 {
-			t.Fatalf("journal writes/op = %.1f, outside the sane [2,16] band", j.WritesPerOp)
+		if j.WritesPerOp < fsperf.JournalMinWritesPerOp || j.WritesPerOp > fsperf.JournalMaxWritesPerOp {
+			t.Fatalf("journal writes/op = %.1f, outside [%d,%d]", j.WritesPerOp,
+				fsperf.JournalMinWritesPerOp, fsperf.JournalMaxWritesPerOp)
 		}
 	}
-	if !sawJournal {
-		t.Fatal("no minix result in the artifact")
+	if !fses[string(fsperf.Tmpfs)] || !fses[string(fsperf.Minix)] {
+		t.Fatalf("filesystems = %v, want tmpfs and minix", fses)
 	}
 	if doc.Concurrency == nil {
 		t.Fatal("artifact is missing the multi-mount concurrency phase")
 	}
-	if doc.Concurrency.Workers < 2 || len(doc.Concurrency.Mounts) < 2 {
-		t.Fatalf("concurrency phase used %d workers on %v, want >= 2 simultaneous mounts",
+	mounts := append([]string(nil), doc.Concurrency.Mounts...)
+	sort.Strings(mounts)
+	if doc.Concurrency.Workers < benchio.MinWorkers || strings.Join(mounts, ",") != "minix,tmpfs" {
+		t.Fatalf("concurrency phase used %d workers on %v, want tmpfs and minix mounted simultaneously",
 			doc.Concurrency.Workers, doc.Concurrency.Mounts)
 	}
 	if doc.Concurrency.StockNs <= 0 || doc.Concurrency.LxfiNs <= 0 {
 		t.Fatalf("concurrency phase has a zero cost: %+v", *doc.Concurrency)
+	}
+
+	bounds, missing, err := benchio.Declared(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(missing) != 0 {
+		t.Fatalf("bounded fields missing beside their bounds: %v", missing)
+	}
+	for _, key := range []string{
+		"results/tmpfs/reload/lxfi_total_ns", "results/minix/reload/lxfi_total_ns",
+		"results/minix/journal/writes_per_op", "concurrency/workers",
+	} {
+		if _, ok := bounds[key]; !ok {
+			t.Fatalf("no bound declared for %s (have %d bounds)", key, len(bounds))
+		}
+	}
+	if b := bounds["results/minix/journal/writes_per_op"]; b.Max == nil || *b.Max != fsperf.JournalMaxWritesPerOp {
+		t.Fatalf("journal bound = %+v", b)
 	}
 }
 

@@ -49,6 +49,7 @@ import (
 	"strings"
 	"time"
 
+	"lxfi/internal/benchio"
 	"lxfi/internal/caps"
 	"lxfi/internal/core"
 	"lxfi/internal/kernel"
@@ -74,9 +75,22 @@ type CrossingRow struct {
 	StockScalingRatio float64 `json:"stock_scaling_ratio,omitempty"`
 	// TraceOverheadPct is set on the traced phase only: its enforced
 	// ns/op against the untraced "crossing gate" row, i.e. the flight
-	// recorder's cost. The perf gate holds it under 10%.
+	// recorder's cost, bounded by TraceMaxOverheadPct.
 	TraceOverheadPct float64 `json:"trace_overhead_pct,omitempty"`
+	// Bounds declares the budgets this phase owns.
+	Bounds benchio.Bounds `json:"bounds,omitempty"`
 }
+
+// Budgets the crossing phases declare in their rows' bounds blocks.
+const (
+	// AllocFreeMaxPerOp is the allocs/op ceiling of an allocation-free
+	// phase: room for a stray runtime allocation in MemStats sampling,
+	// none for one per 200 ops.
+	AllocFreeMaxPerOp = 0.005
+	// TraceMaxOverheadPct is the flight recorder's budget over the
+	// untraced enforced crossing.
+	TraceMaxOverheadPct = 10
+)
 
 // CrossingReport is the BENCH_crossings.json document. The results
 // shape matches the fsperf report so the generic perf gate reads both.
@@ -372,16 +386,21 @@ func MeasureCrossingsWithMetrics(iters int) ([]CrossingRow, *core.MetricsSnapsho
 	if iters < coldSet {
 		iters = coldSet
 	}
+	allocFree := benchio.AtMost(AllocFreeMaxPerOp)
+	reload := benchio.AtMost(benchio.ReloadMaxNs)
 	rows := []CrossingRow{
 		{Op: "check cold", Workers: 1},
-		{Op: "check cached", Workers: 1},
+		{Op: "check cached", Workers: 1, Bounds: benchio.Bounds{"allocs_per_op": allocFree}},
 		{Op: "check contended", Workers: contendedWorkers},
 		{Op: "revoke storm", Workers: 1},
-		{Op: "crossing gate", Workers: 1},
-		{Op: "crossing named", Workers: 1},
-		{Op: "crossing batch", Workers: 1},
-		{Op: "crossing traced", Workers: 1},
-		{Op: "reload", Workers: 1},
+		{Op: "crossing gate", Workers: 1, Bounds: benchio.Bounds{"allocs_per_op": allocFree}},
+		{Op: "crossing named", Workers: 1, Bounds: benchio.Bounds{"allocs_per_op": allocFree}},
+		{Op: "crossing batch", Workers: 1, Bounds: benchio.Bounds{"allocs_per_op": allocFree}},
+		{Op: "crossing traced", Workers: 1, Bounds: benchio.Bounds{
+			"allocs_per_op":      allocFree,
+			"trace_overhead_pct": benchio.AtMost(TraceMaxOverheadPct),
+		}},
+		{Op: "reload", Workers: 1, Bounds: benchio.Bounds{"stock_ns": reload, "lxfi_ns": reload}},
 	}
 	var metrics *core.MetricsSnapshot
 	for _, mode := range []core.Mode{core.Off, core.Enforce} {
@@ -459,17 +478,13 @@ func MeasureCrossingsWithMetrics(iters int) ([]CrossingRow, *core.MetricsSnapsho
 		}
 		set(7, bestTraced, bestAllocs)
 		if mode == core.Enforce {
-			if bestPlain > 0 {
-				rows[7].TraceOverheadPct = 100 * (bestTraced - bestPlain) / bestPlain
-			}
+			rows[7].TraceOverheadPct = benchio.OverheadPct(bestPlain, bestTraced)
 			m := r.sys.Metrics()
 			metrics = &m
 		}
 	}
 	for i := range rows {
-		if rows[i].StockNs > 0 {
-			rows[i].OverheadPct = 100 * (rows[i].LxfiNs - rows[i].StockNs) / rows[i].StockNs
-		}
+		rows[i].OverheadPct = benchio.OverheadPct(rows[i].StockNs, rows[i].LxfiNs)
 	}
 	// The contended phase as a scaling ratio against the single-thread
 	// cached phase (ROADMAP PR-4 follow-up): stable across runners with

@@ -3,13 +3,15 @@ package microbench
 import (
 	"encoding/json"
 	"testing"
+
+	"lxfi/internal/benchio"
 )
 
 // TestMeasureCrossings runs the phases at a small iteration count and
 // checks the report invariants CI relies on: all nine phases present,
-// positive timings, the cached-hit, gate-crossing, batch, and traced
-// phases allocation-free, and the contended phase carrying its scaling
-// ratio.
+// positive timings, the cached-hit and the four crossing phases bound
+// allocation-free (and within that bound), and the contended phase
+// carrying its scaling ratio.
 func TestMeasureCrossings(t *testing.T) {
 	rows, metrics, err := MeasureCrossingsWithMetrics(coldSet)
 	if err != nil {
@@ -36,9 +38,13 @@ func TestMeasureCrossings(t *testing.T) {
 			t.Fatalf("phase %q missing", op)
 		}
 	}
+	allocFree := map[string]bool{}
 	for _, r := range rows {
-		if (r.Op == "check cached" || r.Op == "crossing gate" || r.Op == "crossing batch" || r.Op == "crossing traced") && r.AllocsPerOp >= 0.01 {
-			t.Fatalf("%s allocates: %f allocs/op", r.Op, r.AllocsPerOp)
+		if b, ok := r.Bounds["allocs_per_op"]; ok {
+			allocFree[r.Op] = true
+			if *b.Max != AllocFreeMaxPerOp || r.AllocsPerOp > *b.Max {
+				t.Fatalf("%s allocates: %f allocs/op (bound %+v)", r.Op, r.AllocsPerOp, b)
+			}
 		}
 		if r.Op == "check contended" && r.ScalingRatio <= 0 {
 			t.Fatalf("contended phase missing scaling ratio: %+v", r)
@@ -49,6 +55,14 @@ func TestMeasureCrossings(t *testing.T) {
 		if r.Op != "crossing traced" && r.TraceOverheadPct != 0 {
 			t.Fatalf("trace overhead leaked onto phase %q: %+v", r.Op, r)
 		}
+	}
+	for _, op := range []string{"check cached", "crossing gate", "crossing named", "crossing batch", "crossing traced"} {
+		if !allocFree[op] {
+			t.Fatalf("%s carries no allocation-free bound", op)
+		}
+	}
+	if len(allocFree) != 5 {
+		t.Fatalf("allocation-free rows = %v, want exactly five", allocFree)
 	}
 	// The traced run's sampled latencies must have reached the shared
 	// histogram, and the enforced crossings the shared counters.
@@ -94,5 +108,21 @@ func TestCrossingsJSONShape(t *testing.T) {
 	}
 	if len(doc.Results) != 1 || doc.Results[0].FS != "crossings" || len(doc.Results[0].Rows) != 9 {
 		t.Fatalf("bad results shape: %+v", doc.Results)
+	}
+	bounds, missing, err := benchio.Declared(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(missing) != 0 {
+		t.Fatalf("bounded fields missing beside their bounds: %v", missing)
+	}
+	for _, key := range []string{
+		"results/crossings/rows/crossing gate/allocs_per_op",
+		"results/crossings/rows/crossing traced/trace_overhead_pct",
+		"results/crossings/rows/reload/lxfi_ns",
+	} {
+		if _, ok := bounds[key]; !ok {
+			t.Fatalf("no bound declared for %s", key)
+		}
 	}
 }

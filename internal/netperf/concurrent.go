@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"lxfi/internal/benchio"
 	"lxfi/internal/core"
 	"lxfi/internal/kernel"
 	"lxfi/internal/mem"
@@ -165,10 +166,11 @@ type jsonNetRow struct {
 }
 
 type jsonNetConc struct {
-	Workers     int     `json:"workers"`
-	StockNs     float64 `json:"stock_ns"`
-	LxfiNs      float64 `json:"lxfi_ns"`
-	OverheadPct float64 `json:"overhead_pct"`
+	Workers     int            `json:"workers"`
+	StockNs     float64        `json:"stock_ns"`
+	LxfiNs      float64        `json:"lxfi_ns"`
+	OverheadPct float64        `json:"overhead_pct"`
+	Bounds      benchio.Bounds `json:"bounds"`
 }
 
 // jsonNetReload reports the hot-reload-under-traffic phase: mean service
@@ -176,35 +178,37 @@ type jsonNetConc struct {
 // (packets the TX workers pushed while the reloads ran), and the
 // migrated-capability count.
 type jsonNetReload struct {
-	Reloads        int     `json:"reloads"`
-	Workers        int     `json:"workers"`
-	StockQuiesceNs float64 `json:"stock_quiesce_ns"`
-	LxfiQuiesceNs  float64 `json:"lxfi_quiesce_ns"`
-	StockTotalNs   float64 `json:"stock_total_ns"`
-	LxfiTotalNs    float64 `json:"lxfi_total_ns"`
-	StockPackets   int     `json:"stock_packets"`
-	LxfiPackets    int     `json:"lxfi_packets"`
-	MigratedCaps   int     `json:"migrated_caps"`
+	Reloads        int            `json:"reloads"`
+	Workers        int            `json:"workers"`
+	StockQuiesceNs float64        `json:"stock_quiesce_ns"`
+	LxfiQuiesceNs  float64        `json:"lxfi_quiesce_ns"`
+	StockTotalNs   float64        `json:"stock_total_ns"`
+	LxfiTotalNs    float64        `json:"lxfi_total_ns"`
+	StockPackets   int            `json:"stock_packets"`
+	LxfiPackets    int            `json:"lxfi_packets"`
+	MigratedCaps   int            `json:"migrated_caps"`
+	Bounds         benchio.Bounds `json:"bounds"`
 }
 
 // jsonNetStreaming reports the windowed TCP-like transfer phase: goodput
 // per build on the batched path, measured crossings/byte on both data
 // paths under enforcement, and the reload-under-streaming delivery
-// counters (which must stay zero).
+// counters, with the streaming budgets as bounds.
 type jsonNetStreaming struct {
-	Segments               int     `json:"segments"`
-	SegmentBytes           int     `json:"segment_bytes"`
-	Window                 int     `json:"window"`
-	BatchBudget            int     `json:"batch_budget"`
-	StockBytesPerSec       float64 `json:"stock_bytes_per_sec"`
-	LxfiBytesPerSec        float64 `json:"lxfi_bytes_per_sec"`
-	CPURatio               float64 `json:"cpu_ratio"`
-	PerPktCrossingsPerByte float64 `json:"perpkt_crossings_per_byte"`
-	BatchCrossingsPerByte  float64 `json:"batch_crossings_per_byte"`
-	CrossingsReduction     float64 `json:"crossings_reduction"`
-	Reloads                int     `json:"reloads"`
-	Dropped                uint64  `json:"dropped"`
-	Reordered              uint64  `json:"reordered"`
+	Segments               int            `json:"segments"`
+	SegmentBytes           int            `json:"segment_bytes"`
+	Window                 int            `json:"window"`
+	BatchBudget            int            `json:"batch_budget"`
+	StockBytesPerSec       float64        `json:"stock_bytes_per_sec"`
+	LxfiBytesPerSec        float64        `json:"lxfi_bytes_per_sec"`
+	CPURatio               float64        `json:"cpu_ratio"`
+	PerPktCrossingsPerByte float64        `json:"perpkt_crossings_per_byte"`
+	BatchCrossingsPerByte  float64        `json:"batch_crossings_per_byte"`
+	CrossingsReduction     float64        `json:"crossings_reduction"`
+	Reloads                int            `json:"reloads"`
+	Dropped                uint64         `json:"dropped"`
+	Reordered              uint64         `json:"reordered"`
+	Bounds                 benchio.Bounds `json:"bounds"`
 }
 
 type jsonNetDoc struct {
@@ -227,11 +231,8 @@ func JSON(c *Costs, conc *ConcurrentCosts, rl *ReloadCosts, stream *StreamingCos
 	doc := jsonNetDoc{Bench: "netperf", Packets: packets}
 	rows := []jsonNetRow{}
 	add := func(op string, m map[core.Mode]float64) {
-		r := jsonNetRow{Op: op, StockNs: m[core.Off], LxfiNs: m[core.Enforce]}
-		if r.StockNs > 0 {
-			r.OverheadPct = 100 * (r.LxfiNs - r.StockNs) / r.StockNs
-		}
-		rows = append(rows, r)
+		rows = append(rows, jsonNetRow{Op: op, StockNs: m[core.Off], LxfiNs: m[core.Enforce],
+			OverheadPct: benchio.OverheadPct(m[core.Off], m[core.Enforce])})
 	}
 	add("tx tcp", c.TxTCP)
 	add("tx udp", c.TxUDP)
@@ -243,12 +244,11 @@ func JSON(c *Costs, conc *ConcurrentCosts, rl *ReloadCosts, stream *StreamingCos
 	}{FS: "netperf", Rows: rows})
 	if conc != nil {
 		jc := &jsonNetConc{
-			Workers: conc.Pairs,
-			StockNs: conc.Ns[core.Off],
-			LxfiNs:  conc.Ns[core.Enforce],
-		}
-		if jc.StockNs > 0 {
-			jc.OverheadPct = 100 * (jc.LxfiNs - jc.StockNs) / jc.StockNs
+			Workers:     conc.Pairs,
+			StockNs:     conc.Ns[core.Off],
+			LxfiNs:      conc.Ns[core.Enforce],
+			OverheadPct: benchio.OverheadPct(conc.Ns[core.Off], conc.Ns[core.Enforce]),
+			Bounds:      benchio.Bounds{"workers": benchio.AtLeast(benchio.MinWorkers)},
 		}
 		doc.Concurrency = jc
 	}
@@ -263,6 +263,15 @@ func JSON(c *Costs, conc *ConcurrentCosts, rl *ReloadCosts, stream *StreamingCos
 			StockPackets:   rl.Packets[core.Off],
 			LxfiPackets:    rl.Packets[core.Enforce],
 			MigratedCaps:   rl.Migrated,
+			Bounds: benchio.Bounds{
+				"reloads":        benchio.AtLeast(1),
+				"workers":        benchio.AtLeast(benchio.MinWorkers),
+				"stock_total_ns": benchio.AtMost(benchio.ReloadMaxNs),
+				"lxfi_total_ns":  benchio.AtMost(benchio.ReloadMaxNs),
+				"stock_packets":  benchio.AtLeast(1),
+				"lxfi_packets":   benchio.AtLeast(1),
+				"migrated_caps":  benchio.AtLeast(1),
+			},
 		}
 	}
 	if stream != nil {
@@ -279,6 +288,15 @@ func JSON(c *Costs, conc *ConcurrentCosts, rl *ReloadCosts, stream *StreamingCos
 			Reloads:                stream.Reloads * 2, // per mode
 			Dropped:                stream.Dropped,
 			Reordered:              stream.Reordered,
+			Bounds: benchio.Bounds{
+				"segments":            benchio.AtLeast(1),
+				"batch_budget":        benchio.AtLeast(StreamMinBatchBudget),
+				"cpu_ratio":           benchio.AtMost(StreamMaxCPURatio),
+				"crossings_reduction": benchio.AtLeast(StreamMinCrossingsReduction),
+				"reloads":             benchio.AtLeast(1),
+				"dropped":             benchio.AtMost(0),
+				"reordered":           benchio.AtMost(0),
+			},
 		}
 		if js.BatchCrossingsPerByte > 0 {
 			js.CrossingsReduction = js.PerPktCrossingsPerByte / js.BatchCrossingsPerByte
@@ -291,10 +309,6 @@ func JSON(c *Costs, conc *ConcurrentCosts, rl *ReloadCosts, stream *StreamingCos
 // FormatConcurrent renders the concurrent phase line.
 func FormatConcurrent(c *ConcurrentCosts) string {
 	stock, lxfi := c.Ns[core.Off], c.Ns[core.Enforce]
-	overhead := 0.0
-	if stock > 0 {
-		overhead = 100 * (lxfi - stock) / stock
-	}
 	return fmt.Sprintf("%-20s %9.0f ns/op %9.0f ns/op %7.0f%%  (%d socket pairs, 1 thread each)\n",
-		"concurrent sockets", stock, lxfi, overhead, c.Pairs)
+		"concurrent sockets", stock, lxfi, benchio.OverheadPct(stock, lxfi), c.Pairs)
 }

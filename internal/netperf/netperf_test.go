@@ -1,8 +1,11 @@
 package netperf_test
 
 import (
+	"encoding/json"
+	"strings"
 	"testing"
 
+	"lxfi/internal/benchio"
 	"lxfi/internal/core"
 	"lxfi/internal/netperf"
 )
@@ -189,7 +192,7 @@ func TestReloadUnderConcurrentTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rl.Reloads < 1 || rl.Workers < 2 {
+	if rl.Reloads < 1 || rl.Workers < benchio.MinWorkers {
 		t.Fatalf("phase shape: %+v", rl)
 	}
 	for _, mode := range []core.Mode{core.Off, core.Enforce} {
@@ -219,6 +222,93 @@ func TestConcurrentSocketPairs(t *testing.T) {
 	for _, mode := range []core.Mode{core.Off, core.Enforce} {
 		if c.Ns[mode] <= 0 {
 			t.Fatalf("[%v] non-positive ns/op", mode)
+		}
+	}
+}
+
+// TestJSONReportShape builds BENCH_netperf.json from synthetic phase
+// results, so it checks the report's structure without a live run: the
+// four per-packet rows, the concurrency, reload and streaming objects,
+// and a bounds block beside every budgeted field.
+func TestJSONReportShape(t *testing.T) {
+	modes := func(stock, lxfi float64) map[core.Mode]float64 {
+		return map[core.Mode]float64{core.Off: stock, core.Enforce: lxfi}
+	}
+	costs := &netperf.Costs{
+		TxTCP: modes(1000, 2400), TxUDP: modes(750, 2100),
+		RxTCP: modes(1000, 2200), RxUDP: modes(660, 1700),
+	}
+	conc := &netperf.ConcurrentCosts{Pairs: 4, Ns: modes(260, 400)}
+	rl := &netperf.ReloadCosts{
+		Reloads: 4, Workers: 2, Migrated: 13,
+		Packets: map[core.Mode]int{core.Off: 2500, core.Enforce: 50},
+		Quiesce: modes(2000, 850), Total: modes(23000, 35000),
+	}
+	stream := &netperf.StreamingCosts{
+		Segments: 800, Window: netperf.StreamWindow, BatchBudget: netperf.StreamBatchBudget,
+		BytesPerSec: modes(1.2e9, 0.9e9), CPURatio: 1.33,
+		PerPktCrossingsPerByte: 0.0017, BatchCrossingsPerByte: 0.00015, Reloads: 2,
+	}
+	out, err := netperf.JSON(costs, conc, rl, stream, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Bench   string `json:"bench"`
+		Results []struct {
+			Rows []struct {
+				Op string `json:"op"`
+			} `json:"rows"`
+		} `json:"results"`
+		Concurrency *struct{} `json:"concurrency"`
+		Reload      *struct{} `json:"reload"`
+		Streaming   *struct{} `json:"streaming"`
+	}
+	if err := json.Unmarshal(out, &doc); err != nil {
+		t.Fatalf("artifact is not valid JSON: %v", err)
+	}
+	if doc.Bench != "netperf" || len(doc.Results) != 1 {
+		t.Fatalf("bad document shape: %s", out)
+	}
+	var ops []string
+	for _, r := range doc.Results[0].Rows {
+		ops = append(ops, r.Op)
+	}
+	if got := strings.Join(ops, ","); got != "tx tcp,tx udp,rx tcp,rx udp" {
+		t.Fatalf("rows = %s", got)
+	}
+	if doc.Concurrency == nil || doc.Reload == nil || doc.Streaming == nil {
+		t.Fatalf("missing a phase object: %s", out)
+	}
+
+	bounds, missing, err := benchio.Declared(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(missing) != 0 {
+		t.Fatalf("bounded fields missing beside their bounds: %v", missing)
+	}
+	for key, want := range map[string]float64{
+		"streaming/cpu_ratio":   netperf.StreamMaxCPURatio,
+		"streaming/dropped":     0,
+		"streaming/reordered":   0,
+		"reload/lxfi_total_ns":  benchio.ReloadMaxNs,
+		"reload/stock_total_ns": benchio.ReloadMaxNs,
+	} {
+		if b, ok := bounds[key]; !ok || b.Max == nil || *b.Max != want {
+			t.Fatalf("%s bound = %+v, want max %g", key, b, want)
+		}
+	}
+	for key, want := range map[string]float64{
+		"streaming/crossings_reduction": netperf.StreamMinCrossingsReduction,
+		"streaming/batch_budget":        netperf.StreamMinBatchBudget,
+		"reload/workers":                benchio.MinWorkers,
+		"reload/lxfi_packets":           1,
+		"reload/migrated_caps":          1,
+		"concurrency/workers":           benchio.MinWorkers,
+	} {
+		if b, ok := bounds[key]; !ok || b.Min == nil || *b.Min != want {
+			t.Fatalf("%s bound = %+v, want min %g", key, b, want)
 		}
 	}
 }

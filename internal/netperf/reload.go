@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"lxfi/internal/benchio"
 	"lxfi/internal/core"
 )
 
@@ -135,10 +136,6 @@ func MeasureReload() (*ReloadCosts, error) {
 // FormatReload renders the hot-reload phase line.
 func FormatReload(r *ReloadCosts) string {
 	stock, lxfi := r.Total[core.Off], r.Total[core.Enforce]
-	overhead := 0.0
-	if stock > 0 {
-		overhead = 100 * (lxfi - stock) / stock
-	}
 	return fmt.Sprintf("%-20s %9.0f ns %12.0f ns %7.0f%%  (%d reloads under TX traffic, %d caps migrated)\n",
-		"hot reload", stock, lxfi, overhead, r.Reloads, r.Migrated)
+		"hot reload", stock, lxfi, benchio.OverheadPct(stock, lxfi), r.Reloads, r.Migrated)
 }

@@ -43,11 +43,22 @@ const (
 	// always draws the ack that closes the window.
 	StreamAckEvery = 4
 
+	// StreamMinBatchBudget is the smallest budget that batches at all.
+	StreamMinBatchBudget = 2
+
+	// StreamMinCrossingsReduction is how many times fewer crossings per
+	// byte the batched path must take than the per-packet path.
+	StreamMinCrossingsReduction = 4
+
+	// StreamMaxCPURatio is the enforced/stock CPU budget of the batched
+	// transfer: batching keeps isolation near line rate.
+	StreamMaxCPURatio = 1.5
+
 	streamReloads = 2
 
 	// streamRounds is the repetitions per timed transfer (best kept);
 	// more than the other phases' measureRounds because the CPU-ratio
-	// gate on this phase is absolute, so noise cannot be averaged away
+	// bound on this phase is absolute, so noise cannot be averaged away
 	// by a relative baseline.
 	streamRounds = 5
 )

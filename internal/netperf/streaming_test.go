@@ -34,9 +34,10 @@ func TestStreamingTransfer(t *testing.T) {
 	}
 }
 
-// TestStreamingCrossingsReduction pins the tentpole's economics: at
-// batch budget 8 the batched path must cross the module boundary at
-// least 4x less often per byte than the per-packet path.
+// TestStreamingCrossingsReduction pins the batching economics: at batch
+// budget StreamBatchBudget the batched path must cross the module
+// boundary StreamMinCrossingsReduction times less often per byte than
+// the per-packet path.
 func TestStreamingCrossingsReduction(t *testing.T) {
 	const segments = 128
 	rig, err := NewRig(core.Enforce)
@@ -59,9 +60,9 @@ func TestStreamingCrossingsReduction(t *testing.T) {
 	if batched == 0 {
 		t.Fatal("batched run crossed the boundary zero times")
 	}
-	if reduction := perPkt / batched; reduction < 4 {
-		t.Fatalf("crossings reduction = %.2fx (perpkt %.0f, batch %.0f), want >= 4x",
-			reduction, perPkt, batched)
+	if reduction := perPkt / batched; reduction < StreamMinCrossingsReduction {
+		t.Fatalf("crossings reduction = %.2fx (perpkt %.0f, batch %.0f), want >= %dx",
+			reduction, perPkt, batched, StreamMinCrossingsReduction)
 	}
 }
 

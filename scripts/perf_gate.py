@@ -1,43 +1,26 @@
 #!/usr/bin/env python3
 """Generic perf gate for the BENCH_*.json CI artifacts.
 
-Walks every benchmark report (fsperf, crossings, netperf, and whatever
-lands next), collects all numeric leaves whose key ends in `_ns` plus
-every `allocs_per_op` leaf, and compares the previous run's values
-against the fresh ones. The gate fails (exit 1) when any phase
-regressed by more than THRESHOLD percent ns/op, or when allocations
-regressed: a phase that was allocation-free (0 allocs/op) must stay at
-0 — any increase fails — and a phase that allocated may grow at most
-THRESHOLD percent. Phases or files present in only one run are listed
-but never fail the gate, so adding or removing a benchmark does not
-wedge CI; a completely missing baseline (first run, expired retention)
-skips the relative gate for that file.
+Two passes run over every benchmark report; the script knows no
+report's fields.
 
-`trace_overhead_pct` leaves (the flight recorder's cost over the
-untraced enforced crossing) are gated absolutely instead: the current
-value must stay under TRACE_THRESHOLD percent, baseline or not, so the
-very first traced run is already held to the budget.
+Declared bounds. A report object may carry a "bounds" block naming
+sibling fields and the inclusive range each must lie in, e.g.
+    {"x": 3, "y": 0, "bounds": {"x": {"min": 1, "max": 4}, "y": {"max": 0}}}
+The Go phase that measures a field declares its budget there. A bounded
+field that is missing or outside its range fails the gate, with or
+without a baseline, so the very first run is already held to it.
 
-Hot-reload latency is gated absolutely the same way: every ns leaf of a
-`reload` phase (the crossings "reload" row, the fsperf per-filesystem
-and netperf top-level reload objects' `*_total_ns`) must stay under
-RELOAD_MAX_NS — a module swap that stalls crossings for longer than
-that ceiling fails even on a first run with no baseline.
-
-The netperf streaming phase is gated twice: its `*_crossings_per_byte`
-leaves ride the generic relative gate (the batched data path growing
-its boundary-crossing rate per byte by more than THRESHOLD percent
-fails), and its `cpu_ratio` leaf — enforced CPU cost over stock for the
-same windowed transfer — is held absolutely under
-STREAM_MAX_CPU_RATIO, baseline or not, so the very first streaming run
-is already held to the line-rate budget.
-
-The fsperf `journal` phase is gated twice: its ns leaves ride the
-generic relative gate (a journaled rename more than THRESHOLD percent
-slower than the baseline fails), and its `writes_per_op` leaf — the
-sector writes one write-ahead rename performs — is held absolutely
-under JOURNAL_MAX_WRITES_PER_OP, so the crash-consistency protocol
-cannot silently grow its write amplification.
+Relative regressions. Every numeric leaf whose key ends in `_ns` or
+`_crossings_per_byte`, plus every `allocs_per_op` leaf, is compared
+with the previous run's report. The gate fails when a leaf grew by more
+than THRESHOLD percent, when a leaf with a positive baseline now reads
+0 (its phase stopped measuring), or when allocations regressed: a phase
+that was allocation-free (at most ALLOC_ZERO_EPS allocs/op) must stay
+so, and one that allocated may grow at most THRESHOLD percent. Phases
+or files present in only one run are listed but never fail, so adding or
+removing a benchmark does not wedge CI; a missing baseline (first run,
+expired retention) skips this pass for that file.
 
 Usage:
     perf_gate.py PREV.json CURRENT.json       # one report
@@ -53,64 +36,60 @@ import os
 import sys
 
 THRESHOLD = 30.0  # percent
-TRACE_THRESHOLD = 10.0  # absolute ceiling for trace_overhead_pct leaves
-RELOAD_MAX_NS = 5e7  # absolute ceiling (50 ms) for reload-phase latency
-# Absolute ceiling on journal write amplification: sector writes per
-# journaled rename (intent + commit + applies + checkpoint).
-JOURNAL_MAX_WRITES_PER_OP = 8.0
-# Absolute ceiling on the streaming workload's enforced/stock CPU
-# ratio: batching must keep isolation within 1.5x of stock.
-STREAM_MAX_CPU_RATIO = 1.5
 # A phase whose baseline is allocation-free must stay below this many
 # allocs/op (MemStats sampling noise allowance, well under one real
 # allocation per op).
 ALLOC_ZERO_EPS = 0.01
 
-# Keys that label an element of a JSON array of objects, in preference
-# order, so paths read "tmpfs/create/stock_ns" instead of
-# "results/0/rows/3/stock_ns".
-LABEL_KEYS = ("op", "fs", "phase", "test", "name")
 
-
-def leaves(node, path=""):
-    """Yield (path, key, value) for every numeric leaf in the report."""
-    if isinstance(node, dict):
-        for key, val in node.items():
-            if isinstance(val, (dict, list)):
-                yield from leaves(val, f"{path}/{key}" if path else key)
-            elif isinstance(val, (int, float)) and not isinstance(val, bool):
-                yield (path, key, float(val))
-    elif isinstance(node, list):
+def objects(node, path=""):
+    """Yield (path, object) for every JSON object in the report except
+    the "bounds" blocks. An array element is named by its first string
+    field (else its index) in place of the array's key, so the element
+    {"name": "a", ...} of array "k" has path "a", not "k/0"."""
+    if isinstance(node, list):
         for i, val in enumerate(node):
-            label = str(i)
-            if isinstance(val, dict):
-                for lk in LABEL_KEYS:
-                    if isinstance(val.get(lk), str):
-                        label = val[lk]
-                        break
-            yield from leaves(val, f"{path}/{label}" if path else label)
+            yield from objects(val, join(path, label(val, i)))
+    elif isinstance(node, dict):
+        yield path, node
+        for key, val in node.items():
+            if key != "bounds":
+                yield from objects(val, path if isinstance(val, list) else join(path, key))
+
+
+def join(path, key):
+    return f"{path}/{key}" if path else key
+
+
+def label(node, index):
+    if isinstance(node, dict):
+        for val in node.values():
+            if isinstance(val, str):
+                return val
+    return str(index)
+
+
+def is_number(val):
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
+def delta_gated(key):
+    return (key.endswith("_ns") or key.endswith("_crossings_per_byte")
+            or key == "allocs_per_op")
 
 
 def collect(doc, ns_only):
     out = {}
-    bench = doc.get("bench", "?")
-    for path, key, val in leaves(doc):
-        if ns_only and not (key.endswith("_ns") or key == "allocs_per_op"
-                            or key == "trace_overhead_pct"
-                            or key == "writes_per_op"
-                            or key.endswith("_crossings_per_byte")
-                            or key == "cpu_ratio"):
-            continue
-        # Container keys like "results"/"rows" carry no information once
-        # elements are labeled; drop them from the display path.
-        parts = [p for p in path.split("/") if p not in ("results", "rows")]
-        out[(bench, "/".join(parts), key)] = val
+    for path, obj in objects(doc):
+        for key, val in obj.items():
+            if is_number(val) and (delta_gated(key) or not ns_only):
+                out[(path, key)] = float(val)
     return out
 
 
-def load(path, ns_only):
+def load(path):
     with open(path) as f:
-        return collect(json.load(f), ns_only)
+        return json.load(f)
 
 
 def pair_files(prev, cur):
@@ -133,92 +112,33 @@ def alloc_regressed(was, now):
     return 100.0 * (now - was) / was > THRESHOLD
 
 
-def trace_failures(cur_vals, gate):
-    """Absolute gate on trace_overhead_pct: no baseline required."""
+def bound_failures(doc):
+    """Check every declared bound against the field beside it."""
     failures = []
-    for key in sorted(cur_vals):
-        bench, path, field = key
-        if field != "trace_overhead_pct":
-            continue
-        now = cur_vals[key]
-        over = gate and now > TRACE_THRESHOLD
-        flag = "  <-- TRACE OVERHEAD OVER %.0f%% BUDGET" % TRACE_THRESHOLD if over else ""
-        print("%-10s %-40s %-14s %12.2f%%%s" % (bench, path, field, now, flag))
-        if over:
-            failures.append(key)
-    return failures
-
-
-def reload_failures(cur_vals, gate):
-    """Absolute gate on hot-reload latency: no baseline required. Every
-    ns leaf of a reload phase must stay under RELOAD_MAX_NS."""
-    failures = []
-    for key in sorted(cur_vals):
-        bench, path, field = key
-        if path.split("/")[-1] != "reload":
-            continue
-        if not (field.endswith("_total_ns") or field in ("stock_ns", "lxfi_ns")):
-            continue
-        now = cur_vals[key]
-        over = gate and now > RELOAD_MAX_NS
-        flag = ("  <-- RELOAD LATENCY OVER %.0f ms CEILING" % (RELOAD_MAX_NS / 1e6)
-                if over else "")
-        print("%-10s %-40s %-14s %12.1f%s" % (bench, path, field, now, flag))
-        if over:
-            failures.append(key)
-    return failures
-
-
-def journal_failures(cur_vals, gate):
-    """Absolute gate on journal write amplification: no baseline
-    required. A journaled rename may not perform more than
-    JOURNAL_MAX_WRITES_PER_OP sector writes."""
-    failures = []
-    for key in sorted(cur_vals):
-        bench, path, field = key
-        if field != "writes_per_op" or path.split("/")[-1] != "journal":
-            continue
-        now = cur_vals[key]
-        over = gate and now > JOURNAL_MAX_WRITES_PER_OP
-        flag = ("  <-- JOURNAL WRITE AMPLIFICATION OVER %.0f/op CEILING"
-                % JOURNAL_MAX_WRITES_PER_OP if over else "")
-        print("%-10s %-40s %-14s %12.1f%s" % (bench, path, field, now, flag))
-        if over:
-            failures.append(key)
-    return failures
-
-
-def streaming_failures(cur_vals, gate):
-    """Absolute gate on the streaming workload's enforced/stock CPU
-    ratio: no baseline required."""
-    failures = []
-    for key in sorted(cur_vals):
-        bench, path, field = key
-        if field != "cpu_ratio":
-            continue
-        now = cur_vals[key]
-        over = gate and now > STREAM_MAX_CPU_RATIO
-        flag = ("  <-- STREAMING CPU RATIO OVER %.1fx CEILING"
-                % STREAM_MAX_CPU_RATIO if over else "")
-        print("%-10s %-40s %-14s %12.3f%s" % (bench, path, field, now, flag))
-        if over:
-            failures.append(key)
+    for path, obj in objects(doc):
+        for field, rng in sorted(obj.get("bounds", {}).items()):
+            val, lo, hi = obj.get(field), rng.get("min"), rng.get("max")
+            if not is_number(val):
+                shown, flag = "missing", "  <-- BOUNDED FIELD MISSING"
+            else:
+                shown = "%.4g" % val
+                out = (lo is not None and val < lo) or (hi is not None and val > hi)
+                flag = "  <-- OUT OF BOUNDS" if out else ""
+            print("%-40s %-26s %12s in [%s, %s]%s"
+                  % (path, field, shown, "-" if lo is None else "%g" % lo,
+                     "-" if hi is None else "%g" % hi, flag))
+            if flag:
+                failures.append((path, field))
     return failures
 
 
 def compare(prev_vals, cur_vals, gate):
     failures = []
     for key in sorted(cur_vals):
-        bench, path, field = key
+        path, field = key
         now = cur_vals[key]
         was = prev_vals.get(key)
-        tag = "%-10s %-40s %-14s" % (bench, path, field)
-        if field == "trace_overhead_pct":
-            continue  # gated absolutely by trace_failures, not by delta
-        if field == "writes_per_op":
-            continue  # gated absolutely by journal_failures, not by delta
-        if field == "cpu_ratio":
-            continue  # gated absolutely by streaming_failures, not by delta
+        tag = "%-40s %-26s" % key
         if was is None:
             print("%s %38s" % (tag, "(new phase)"))
             continue
@@ -229,22 +149,23 @@ def compare(prev_vals, cur_vals, gate):
             if regressed:
                 failures.append(key)
             continue
-        if was <= 0 or now <= 0:
-            continue
+        if was <= 0:
+            continue  # no baseline to take a ratio against
         delta = 100.0 * (now - was) / was
-        flag = "  <-- REGRESSION" if gate and delta > THRESHOLD else ""
+        stopped = now <= 0
+        regressed = gate and (stopped or delta > THRESHOLD)
+        flag = ("  <-- STOPPED MEASURING" if stopped else "  <-- REGRESSION") if regressed else ""
         print("%s %12.1f -> %12.1f (%+6.1f%%)%s" % (tag, was, now, delta, flag))
-        if gate and delta > THRESHOLD:
+        if regressed:
             failures.append(key)
     for key in sorted(set(prev_vals) - set(cur_vals)):
-        print("%-10s %-40s %-14s %38s" % (key[0], key[1], key[2], "(phase removed)"))
+        print("%-40s %-26s %38s" % (key + ("(phase removed)",)))
     return failures
 
 
-def main():
-    args = sys.argv[1:]
-    summary = "--summary" in args
-    args = [a for a in args if a != "--summary"]
+def main(argv):
+    summary = "--summary" in argv
+    args = [a for a in argv if a != "--summary"]
     if len(args) != 2:
         sys.exit(__doc__)
     prev, cur = args
@@ -253,45 +174,35 @@ def main():
     saw_any = False
     for name, ppath, cpath in pair_files(prev, cur):
         print(f"== {name} ==")
-        cur_vals = load(cpath, ns_only=not summary)
+        doc = load(cpath)
+        cur_vals = collect(doc, ns_only=not summary)
         if ppath is None:
             print("   (no previous report; delta gate skipped for this file)")
             for key in sorted(cur_vals):
-                if key[2] in ("trace_overhead_pct", "writes_per_op", "cpu_ratio"):
-                    continue  # printed (and gated) by the absolute gates below
-                print("%-10s %-40s %-14s %12.1f" % (key[0], key[1], key[2], cur_vals[key]))
-            failures += trace_failures(cur_vals, gate=not summary)
-            failures += reload_failures(cur_vals, gate=not summary)
-            failures += journal_failures(cur_vals, gate=not summary)
-            failures += streaming_failures(cur_vals, gate=not summary)
-            print()
-            continue
-        saw_any = True
-        failures += compare(load(ppath, ns_only=not summary), cur_vals, gate=not summary)
-        failures += trace_failures(cur_vals, gate=not summary)
-        failures += reload_failures(cur_vals, gate=not summary)
-        failures += journal_failures(cur_vals, gate=not summary)
-        failures += streaming_failures(cur_vals, gate=not summary)
+                print("%-40s %-26s %12.1f" % (key + (cur_vals[key],)))
+        else:
+            saw_any = True
+            failures += compare(collect(load(ppath), ns_only=not summary), cur_vals,
+                                gate=not summary)
+        if not summary:
+            failures += bound_failures(doc)
         print()
 
     if summary:
         print("delta summary: informational only")
-        return
+        return 0
     if failures:
-        print("perf gate: %d phase(s) regressed (>%.0f%% ns/op, allocations "
-              "above an allocation-free baseline, trace overhead past "
-              "%.0f%%, reload latency past %.0f ms, journal write "
-              "amplification past %.0f/op, or streaming CPU ratio past "
-              "%.1fx)"
-              % (len(failures), THRESHOLD, TRACE_THRESHOLD, RELOAD_MAX_NS / 1e6,
-                 JOURNAL_MAX_WRITES_PER_OP, STREAM_MAX_CPU_RATIO),
-              file=sys.stderr)
-        sys.exit(1)
+        print("perf gate: %d failure(s): a leaf regressed more than %.0f%% or "
+              "stopped measuring, allocations rose above an allocation-free "
+              "baseline, or a field broke its declared bounds"
+              % (len(failures), THRESHOLD), file=sys.stderr)
+        return 1
     if saw_any:
         print("perf gate: OK")
     else:
-        print("perf gate: no baselines available; absolute gates only")
+        print("perf gate: no baselines available; declared bounds only")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))
