@@ -25,11 +25,6 @@ import (
 	"lxfi/internal/mem"
 )
 
-func init() {
-	failpoint.Register("blockdev.write_sector")
-	failpoint.Register("blockdev.read_sector")
-}
-
 // SectorSize is the logical sector size.
 const SectorSize = 512
 
@@ -73,11 +68,10 @@ const (
 )
 
 // Write-path errors, distinguished so callers can map them onto the
-// right errno (missing disk vs. bad range vs. an injected power cut).
+// right errno (missing disk vs. bad range).
 var (
-	ErrNoDisk   = errors.New("blockdev: no such disk")
-	ErrBounds   = errors.New("blockdev: write outside the disk")
-	ErrPowerCut = errors.New("blockdev: simulated power cut")
+	ErrNoDisk = errors.New("blockdev: no such disk")
+	ErrBounds = errors.New("blockdev: write outside the disk")
 )
 
 // SectorWrite is one logged disk mutation: the sector a write landed on
@@ -115,10 +109,6 @@ type Layer struct {
 	targets map[mem.Addr]mem.Addr
 	// captures holds the active write recorders, keyed by device.
 	captures map[uint64]*capture
-	// failAfter maps a device to its remaining write budget: once it
-	// hits zero every further write fails with ErrPowerCut, freezing
-	// the disk image at the cut point.
-	failAfter map[uint64]*int64
 
 	// completed counts bio_endio calls.
 	completed atomic.Uint64
@@ -136,11 +126,10 @@ type Layer struct {
 // Init builds the block layer.
 func Init(k *kernel.Kernel) *Layer {
 	l := &Layer{
-		K:         k,
-		disks:     make(map[uint64][]byte),
-		targets:   make(map[mem.Addr]mem.Addr),
-		captures:  make(map[uint64]*capture),
-		failAfter: make(map[uint64]*int64),
+		K:        k,
+		disks:    make(map[uint64][]byte),
+		targets:  make(map[mem.Addr]mem.Addr),
+		captures: make(map[uint64]*capture),
 	}
 	sys := k.Sys
 
@@ -249,8 +238,8 @@ func (l *Layer) registerExports() {
 			l.sectorReads.Add(1)
 			// Fault site: an injected error reads back to the module as
 			// EIO, like an unreadable sector.
-			if failpoint.Armed() {
-				if err := failpoint.InjectArg("blockdev.read_sector", strconv.FormatUint(args[0], 10)); err != nil {
+			if faults := sys.Faults; faults.Armed() {
+				if err := faults.InjectArg(failpoint.BlockdevReadSector, strconv.FormatUint(args[0], 10)); err != nil {
 					return kernel.Err(kernel.EIO)
 				}
 			}
@@ -405,16 +394,16 @@ func (l *Layer) Disks() []uint64 {
 
 // WriteSectors is the single mutation path for disk contents: every
 // sector write — dm_write_sectors, pc_writeback, submitted write bios —
-// lands here, so the capture log sees the true write order and an armed
-// power cut stops all of them at once. data may be any length; it is
-// stored starting at the sector's byte offset.
+// lands here, so the capture log sees the true write order and a
+// blockdev.write_sector policy stops all of them at once. data may be
+// any length; it is stored starting at the sector's byte offset.
 func (l *Layer) WriteSectors(dev, sector uint64, data []byte) error {
 	// Fault site: an injected error surfaces to the module as EIO from
 	// dm_write_sectors, like a failing disk. The policy's Arg matches
 	// the device id. (The Armed fast path keeps the device formatting
 	// off the disarmed path.)
-	if failpoint.Armed() {
-		if err := failpoint.InjectArg("blockdev.write_sector", strconv.FormatUint(dev, 10)); err != nil {
+	if faults := l.K.Sys.Faults; faults.Armed() {
+		if err := faults.InjectArg(failpoint.BlockdevWriteSector, strconv.FormatUint(dev, 10)); err != nil {
 			return err
 		}
 	}
@@ -427,12 +416,6 @@ func (l *Layer) WriteSectors(dev, sector uint64, data []byte) error {
 	off := sector * SectorSize
 	if sector > uint64(len(disk))/SectorSize || off+uint64(len(data)) > uint64(len(disk)) {
 		return ErrBounds
-	}
-	if remaining := l.failAfter[dev]; remaining != nil {
-		if *remaining <= 0 {
-			return ErrPowerCut
-		}
-		*remaining--
 	}
 	copy(disk[off:], data)
 	if c := l.captures[dev]; c != nil {
@@ -478,24 +461,6 @@ func ReplayPrefix(initial []byte, log []SectorWrite, n int) []byte {
 		copy(disk[w.Sector*SectorSize:], w.Data)
 	}
 	return disk
-}
-
-// FailAfter arms a power cut on dev: the next n WriteSectors calls
-// succeed, every later one fails with ErrPowerCut and leaves the disk
-// untouched — the image freezes exactly at the cut point, which the
-// coredump forensics test then extracts and remounts.
-func (l *Layer) FailAfter(dev uint64, n int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	budget := n
-	l.failAfter[dev] = &budget
-}
-
-// ClearFail disarms a FailAfter power cut.
-func (l *Layer) ClearFail(dev uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	delete(l.failAfter, dev)
 }
 
 // Completed returns the number of completed bios.

@@ -70,8 +70,8 @@ func (t *Thread) grant(p *caps.Principal, c caps.Cap) {
 // hot crossing builds no strings. Conditions, pointers, and sizes run
 // as opcode programs, iterators and REF cache tags are pre-resolved,
 // and the inline caplist forms never touch a scratch slice. The
-// differential tests in internal/annotdb hold every program equal to
-// the annotation tree it was compiled from (diff.go).
+// differential tests hold every program equal to the annotation tree
+// it was compiled from (diff_test.go).
 func (t *Thread) runProgram(phase, fnName string, steps []actionStep, env *argEnv,
 	from, to *caps.Principal, blame *Module) error {
 steps:

@@ -9,10 +9,6 @@ import (
 	"lxfi/internal/trace"
 )
 
-func init() {
-	failpoint.Register("kernel.entry")
-}
-
 // CallKernel invokes a core-kernel export on behalf of the current
 // context. In module context this is the function-wrapper path of §4.2:
 // the wrapper checks the CALL capability, runs pre actions, switches to
@@ -52,7 +48,7 @@ func (t *Thread) callKernelDecl(fn *FuncDecl, args []uint64) (uint64, error) {
 	// gate, which contains it as a module oops; pure kernel-context
 	// calls never evaluate the site.
 	if callerMod != nil {
-		if err := failpoint.InjectArg("kernel.entry", fn.Name); err != nil {
+		if err := t.Sys.Faults.InjectArg(failpoint.KernelEntry, fn.Name); err != nil {
 			return 0, err
 		}
 	}
@@ -435,15 +431,14 @@ func (t *Thread) dispatch(fn *FuncDecl, m *Module, args []uint64) (uint64, error
 }
 
 // moduleOf resolves the module a function belongs to: nil for kernel
-// and user functions, never nil for a module function. Mid-reload, the
-// old generation is retired and the fresh one not yet published; the
-// owning module object is still reachable from the declaration, and
-// the entry protocol parks the crossing there until the reload
-// resolves, so no in-flight crossing is dropped.
+// and user functions, never nil for a module function. It is the
+// generation that registered the declaration, never the module now
+// published under the name: mid-reload the fresh generation is
+// published before its probe has run and before the old generation's
+// capabilities migrate into it, so a stale crossing must park at its
+// own (quiescing) generation and follow the successor link only once
+// the reload completes (reload.go).
 func (t *Thread) moduleOf(fn *FuncDecl) *Module {
-	if m, ok := t.Sys.Module(fn.Module); ok {
-		return m
-	}
 	return fn.owner
 }
 

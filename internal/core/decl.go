@@ -59,7 +59,8 @@ type FuncDecl struct {
 
 	// owner is the Module instance the declaration was registered for
 	// (nil for kernel and user functions). The crossing entry protocol
-	// compares it against the module resolved by name: a mismatch means
+	// enters it, follows the successor chain if it has been retired,
+	// and compares the entered module against owner: a mismatch means
 	// the declaration belongs to a retired generation and the call is
 	// re-bound to the successor's declaration of the same name
 	// (reload.go).
@@ -95,7 +96,7 @@ type FPtrType struct {
 	// prog is the compiled action program of Annot. Crossings run the
 	// *target function's* program, whose parameters were bound from
 	// this type at load time (annotation propagation, §4.2); the
-	// differential tracers (diff.go) execute prog to hold it equal to
+	// differential tracers (diff_test.go) execute prog to hold it equal to
 	// the tree.
 	prog *annotProg
 	// annotHash is Annot.Hash(), computed once at registration.

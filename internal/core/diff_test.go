@@ -9,7 +9,7 @@
 // capabilities, and ownership exactly as the real executor does, but
 // recording grants/revokes/violations instead of applying them — so a
 // test can assert that every registered program agrees with its tree
-// (internal/annotdb runs that differential over the full Fig. 9
+// (differential_test.go runs that differential over the full Fig. 9
 // module set: kernel exports, fptr types, and module functions).
 package core
 

@@ -1,4 +1,4 @@
-package annotdb
+package core_test
 
 import (
 	"fmt"
@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lxfi/internal/annot"
+	"lxfi/internal/annotdb"
 	"lxfi/internal/blockdev"
 	"lxfi/internal/caps"
 	"lxfi/internal/core"
@@ -81,7 +82,7 @@ func diffTraces(t *testing.T, what, phase string, tree, compiled []core.ActionTr
 // grants, revokes, checks, and violations on a set of synthetic
 // crossings — and identical principal-expression values.
 func TestCompiledProgramsMatchTreeInterpreter(t *testing.T) {
-	sys, err := BootAll(core.Enforce)
+	sys, err := annotdb.BootAll(core.Enforce)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ type principalCase struct {
 // checks exercise the "owned" branch too (an all-deny state would let a
 // broken ownership check hide behind matching violations).
 func TestGrantingActionsMatchOnLiveState(t *testing.T) {
-	sys, err := BootAll(core.Enforce)
+	sys, err := annotdb.BootAll(core.Enforce)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@
 // crossing paths (calls.go): parameter names are bound here, at
 // registration, and a set that cannot be bound or compiled is a
 // registration error. The expression-tree interpreter survives only
-// as the differential oracle (diff.go).
+// as the differential test oracle (diff_test.go).
 package core
 
 import (

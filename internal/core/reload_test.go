@@ -104,18 +104,74 @@ func TestReloadParksNewCrossings(t *testing.T) {
 	wg.Wait()
 }
 
+// A crossing through a stale function pointer that arrives after the
+// successor is published under the module's name, but before the
+// reload completes, parks at its own generation: the successor's load
+// hooks (device probe, capability migration) have not run yet, so it
+// must not be entered.
+func TestReloadStalePointerWaitsForCompletion(t *testing.T) {
+	f := newFixture(t, core.Enforce)
+	load := func(ret uint64) *core.Module {
+		m, err := f.sys.LoadModule(core.ModuleSpec{
+			Name:     "m",
+			DataSize: 4096,
+			Funcs: []core.FuncSpec{{
+				Name: "handler", Type: "ops.handler",
+				Impl: func(th *core.Thread, args []uint64) uint64 { return ret },
+			}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	old := load(1)
+	slot := f.sys.Statics.Alloc(8, 8)
+	if err := f.sys.AS.WriteU64(slot, uint64(old.Funcs["handler"].Addr)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.sys.BeginReload(old, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	f.sys.RetireModule(old)
+	fresh := load(2)
+
+	done := make(chan uint64, 1)
+	go func() {
+		th := f.sys.NewThread("stale")
+		ret, err := th.IndirectCall(slot, "ops.handler", 0x1234, 0)
+		if err != nil {
+			t.Errorf("stale crossing: %v", err)
+		}
+		done <- ret
+	}()
+	select {
+	case ret := <-done:
+		t.Fatalf("stale crossing returned %d before the reload completed", ret)
+	case <-time.After(20 * time.Millisecond):
+	}
+
+	f.sys.CompleteReload(old, fresh)
+	if ret := <-done; ret != 2 {
+		t.Fatalf("stale crossing ran generation returning %d, want successor's 2", ret)
+	}
+}
+
 // A quiesce that cannot drain aborts cleanly: the module returns to
 // live and keeps serving crossings.
 func TestReloadQuiesceTimeoutAborts(t *testing.T) {
 	f := newFixture(t, core.Enforce)
 	entered := make(chan struct{})
 	release := make(chan struct{})
+	// Only the first crossing hangs, and it signals by closing entered:
+	// a non-blocking send could run before the receive below and leave
+	// the test waiting forever.
+	var first sync.Once
 	m := f.loadModule(t, "m", nil, func(th *core.Thread, args []uint64) uint64 {
-		select {
-		case entered <- struct{}{}:
+		first.Do(func() {
+			close(entered)
 			<-release
-		default:
-		}
+		})
 		return 7
 	})
 	go func() {

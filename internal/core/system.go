@@ -2,12 +2,14 @@ package core
 
 import (
 	"fmt"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
 
 	"lxfi/internal/annot"
 	"lxfi/internal/caps"
+	"lxfi/internal/failpoint"
 	"lxfi/internal/layout"
 	"lxfi/internal/mem"
 	"lxfi/internal/trace"
@@ -40,6 +42,9 @@ type System struct {
 	WST     *wst.Tracker
 	Layouts *layout.Registry
 	Mon     *Monitor
+	// Faults holds this machine's armed failpoints; every fault site
+	// of the System's substrates injects through it.
+	Faults *failpoint.Set
 
 	mu          sync.RWMutex // guards the registries below
 	funcsByAddr map[mem.Addr]*FuncDecl
@@ -88,18 +93,33 @@ func (s *System) SetSupervisorMetrics(fn func() *SupervisorMetrics) {
 	s.supSource.Store(&fn)
 }
 
-// NewSystem boots an empty simulated machine with LXFI off.
+// envFaults is the LXFI_FAILPOINTS spec, parsed once at startup and
+// armed on every System NewSystem boots. A malformed spec panics here:
+// a chaos run should fail fast, not silently run clean.
+var envFaults = func() failpoint.Spec {
+	sp, err := failpoint.ParseSpec(os.Getenv("LXFI_FAILPOINTS"))
+	if err != nil {
+		panic(err)
+	}
+	return sp
+}()
+
+// NewSystem boots an empty simulated machine with LXFI off and the
+// LXFI_FAILPOINTS failpoints armed.
 func NewSystem() *System {
 	as := mem.NewAddressSpace()
+	faults := new(failpoint.Set)
+	faults.ArmSpec(envFaults)
 	s := &System{
 		AS:          as,
-		Slab:        mem.NewSlab(as, mem.KernelHeap),
+		Slab:        mem.NewSlab(as, mem.KernelHeap, faults),
 		Statics:     mem.NewBump(as, mem.KernelHeap+0x1000_0000),
 		User:        mem.NewBump(as, mem.UserHeap),
 		Caps:        caps.NewSystem(),
 		WST:         wst.New(),
 		Layouts:     layout.NewRegistry(),
 		Mon:         NewMonitor(),
+		Faults:      faults,
 		funcsByAddr: make(map[mem.Addr]*FuncDecl),
 		funcsByName: make(map[string]*FuncDecl),
 		fptrTypes:   make(map[string]*FPtrType),

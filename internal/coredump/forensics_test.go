@@ -7,11 +7,13 @@ package coredump_test
 // pre-op or post-op tree, never a half-moved one).
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"lxfi/internal/blockdev"
 	"lxfi/internal/core"
 	"lxfi/internal/coredump"
+	"lxfi/internal/failpoint"
 	"lxfi/internal/kernel"
 	"lxfi/internal/mem"
 	"lxfi/internal/modules/minixsim"
@@ -46,10 +48,11 @@ func names(t *testing.T, v *vfs.VFS, th *core.Thread, sb mem.Addr, dir string) m
 }
 
 func TestDiskSectionRemountsMidRenameCrash(t *testing.T) {
-	// cut n: the rename's n-th sector write fails with ErrPowerCut.
-	// Cut 1 lands before the commit sector (the rename must vanish);
-	// later cuts land after it (the rename must be complete). Either
-	// way the recovered tree is one of the two legal states.
+	// cut n: the rename's first n sector writes land and every later
+	// one fails, freezing the disk at the cut point. Cut 1 lands
+	// before the commit sector (the rename must vanish); later cuts
+	// land after it (the rename must be complete). Either way the
+	// recovered tree is one of the two legal states.
 	for _, cut := range []int64{1, 2, 3} {
 		k, bl, v, th := bootFS(t)
 		bl.AddDisk(1, minixsim.DiskSectors)
@@ -71,9 +74,18 @@ func TestDiskSectionRemountsMidRenameCrash(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		bl.FailAfter(1, cut)
+		var writes atomic.Int64
+		powerCut := failpoint.Policy{Arg: "1", Do: func(string) error {
+			if writes.Add(1) > cut {
+				return failpoint.ErrInjected
+			}
+			return nil
+		}}
+		if err := k.Sys.Faults.Arm(failpoint.BlockdevWriteSector, powerCut); err != nil {
+			t.Fatal(err)
+		}
 		renameErr := v.Rename(th, sb, "/src", sb, "/dst")
-		bl.ClearFail(1)
+		k.Sys.Faults.Disarm(failpoint.BlockdevWriteSector)
 
 		// The frozen machine is dumped with its disks; the dump round
 		// trips through the wire format.

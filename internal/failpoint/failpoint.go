@@ -1,29 +1,31 @@
-// Package failpoint is a tiny registry of named fault-injection sites
-// threaded through the kernel substrates at their natural seams:
-// blockdev sector I/O, netstack xmit/poll, slab page allocation, the
-// mediated kernel-export entry, and the module loader's lifecycle
-// steps.
+// Package failpoint is the fault-injection harness: a fixed catalog of
+// named sites threaded through the kernel substrates at their natural
+// seams (blockdev sector I/O, netstack xmit/poll, slab page
+// allocation, the mediated kernel-export entry, and the module
+// loader's lifecycle steps), and a per-machine Set of the policies
+// armed on them.
 //
-// A site is a single call — failpoint.Inject("blockdev.write_sector")
-// — that does nothing until armed. Disarmed sites cost one atomic load
-// and zero allocations, so they are compiled into production paths
-// (the 0-alloc warm-crossing and trace-overhead perf gates hold with
-// every site in place). Armed sites evaluate a per-site Policy: return
-// an injected error, sleep, panic (simulating a module bug that oopses
-// — the call gates contain it into a synthetic violation), or run an
-// arbitrary test callback; firing is shaped by one-shot, every-Nth,
-// probability, and argument-match triggers.
+// Sites are the Site constants, named "<package>.<seam>" (PAPER.md
+// describes each seam). Every core.System owns one Set
+// (System.Faults), and each site injects through the Set of the
+// System it runs in, so a policy armed on one machine never fires on
+// another. A site passes a per-call argument (device id, kernel
+// function name, module name) that policies can match with Arg.
 //
-// Site names follow the "<package>.<seam>" convention (the catalog
-// lives in PAPER.md): the package that owns the seam registers the
-// site at init so chaos harnesses can enumerate Sites(), and passes a
-// per-call argument (device name, kernel function name, module name)
-// that policies can match with Arg.
+// A site is a single call — faults.InjectArg(BlockdevWriteSector,
+// dev) — that does nothing until armed. Disarmed sites cost one atomic
+// load and zero allocations, so they are compiled into production
+// paths (the 0-alloc warm-crossing and trace-overhead perf gates hold
+// with every site in place). Armed sites evaluate a per-site Policy:
+// return an injected error, sleep, panic (simulating a module bug that
+// oopses — the call gates contain it into a synthetic violation), or
+// run an arbitrary test callback; firing is shaped by one-shot,
+// every-Nth, probability, and argument-match triggers.
 //
-// Sites are armed per-test with Arm/Disarm, or process-wide through
-// the spec language of ArmSpec — also read from the LXFI_FAILPOINTS
-// environment variable at startup, which is how CI arms the chaos
-// battery:
+// Tests arm their own System's Set with Arm/Disarm. Commands and CI
+// arm every System a process boots through the LXFI_FAILPOINTS
+// environment variable, in the spec language of ParseSpec, which
+// core.NewSystem arms with ArmSpec:
 //
 //	LXFI_FAILPOINTS="blockdev.write_sector=every(50)->error;kernel.entry[kmalloc]=oneshot->panic"
 package failpoint
@@ -32,14 +34,80 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
+
+// Site is one fault-injection seam of the fixed catalog.
+type Site uint8
+
+// The catalog, in name order. Each comment names the per-call argument
+// a policy's Arg matches.
+const (
+	BlockdevReadSector  Site = iota // dm_read_sectors; arg: device id
+	BlockdevWriteSector             // every disk mutation; arg: device id
+	KernelEntry                     // a module's call into a kernel export; arg: function name
+	LoaderLoad                      // booting a module generation; arg: module name
+	LoaderMigrate                   // a reload's capability migration; arg: module name
+	LoaderUnload                    // a generation's unload hook; arg: module name
+	MemPageAlloc                    // slab allocation
+	NetstackPoll                    // a NAPI poll round
+	NetstackXmit                    // TX entry, per-packet and batched enqueue
+	NetstackXmitBatch               // a batched TX drain
+	numSites
+)
+
+// String returns the site's "<package>.<seam>" name.
+func (s Site) String() string {
+	switch s {
+	case BlockdevReadSector:
+		return "blockdev.read_sector"
+	case BlockdevWriteSector:
+		return "blockdev.write_sector"
+	case KernelEntry:
+		return "kernel.entry"
+	case LoaderLoad:
+		return "loader.load"
+	case LoaderMigrate:
+		return "loader.migrate"
+	case LoaderUnload:
+		return "loader.unload"
+	case MemPageAlloc:
+		return "mem.page_alloc"
+	case NetstackPoll:
+		return "netstack.poll"
+	case NetstackXmit:
+		return "netstack.xmit"
+	case NetstackXmitBatch:
+		return "netstack.xmit_batch"
+	}
+	return fmt.Sprintf("failpoint.Site(%d)", uint8(s))
+}
+
+// Sites returns the catalog, in name order.
+func Sites() []Site {
+	out := make([]Site, numSites)
+	for i := range out {
+		out[i] = Site(i)
+	}
+	return out
+}
+
+// lookup maps a site name to its catalog entry. The error for a name
+// outside the catalog lists the valid names: a misspelt site would
+// otherwise arm nothing and let a chaos run look clean.
+func lookup(name string) (Site, error) {
+	names := make([]string, numSites)
+	for _, s := range Sites() {
+		if s.String() == name {
+			return s, nil
+		}
+		names[s] = s.String()
+	}
+	return 0, fmt.Errorf("failpoint: unknown site %q (valid: %s)", name, strings.Join(names, ", "))
+}
 
 // ErrInjected is wrapped by every error an armed error-policy site
 // returns, so callers and tests can errors.Is an injected fault apart
@@ -50,7 +118,7 @@ var ErrInjected = errors.New("failpoint: injected fault")
 // gates recover it (like any other panic raised inside a module
 // crossing) into a synthetic violation; tests can assert on the Site.
 type PanicValue struct {
-	Site string
+	Site Site
 	Msg  string
 }
 
@@ -58,7 +126,7 @@ func (p PanicValue) String() string {
 	if p.Msg != "" {
 		return fmt.Sprintf("failpoint %s: %s", p.Site, p.Msg)
 	}
-	return "failpoint " + p.Site
+	return "failpoint " + p.Site.String()
 }
 
 // Policy describes what an armed site does and when it fires. Exactly
@@ -105,45 +173,28 @@ type armedPolicy struct {
 	fired atomic.Bool
 }
 
-var (
-	// armed counts armed sites; the disarmed fast path is this single
-	// load.
+// Set is one machine's armed policies, one slot per site. The zero
+// value has nothing armed. Arm and Disarm may race Inject: each slot
+// is swapped atomically.
+type Set struct {
+	// armed counts the non-nil slots; the disarmed fast path is this
+	// single load.
 	armed atomic.Int64
-
-	mu    sync.RWMutex
-	sites = make(map[string]*siteState)
-)
-
-type siteState struct {
-	pol atomic.Pointer[armedPolicy]
+	pol   [numSites]atomic.Pointer[armedPolicy]
 }
 
-// Register declares a site so harnesses can enumerate it with Sites().
-// Substrates call it from init (or their Init); registration is
-// idempotent and arming implies it.
-func Register(name string) {
-	mu.Lock()
-	if _, ok := sites[name]; !ok {
-		sites[name] = &siteState{}
+// Arm installs a policy on a site, replacing any previous policy and
+// resetting trigger state. A site outside the catalog is an error.
+func (s *Set) Arm(site Site, p Policy) error {
+	if site >= numSites {
+		_, err := lookup(site.String())
+		return err
 	}
-	mu.Unlock()
+	s.arm(site, p)
+	return nil
 }
 
-// Sites returns every registered site name, sorted.
-func Sites() []string {
-	mu.RLock()
-	out := make([]string, 0, len(sites))
-	for n := range sites {
-		out = append(out, n)
-	}
-	mu.RUnlock()
-	sort.Strings(out)
-	return out
-}
-
-// Arm installs a policy on a site (registering it if needed),
-// replacing any previous policy and resetting trigger state.
-func Arm(name string, p Policy) {
+func (s *Set) arm(site Site, p Policy) {
 	ap := &armedPolicy{p: p}
 	if !p.Panic && p.Do == nil && p.Delay == 0 {
 		e := p.Err
@@ -151,78 +202,53 @@ func Arm(name string, p Policy) {
 			e = ErrInjected
 		}
 		if p.Msg != "" {
-			ap.err = fmt.Errorf("%w at %s: %s", e, name, p.Msg)
+			ap.err = fmt.Errorf("%w at %s: %s", e, site, p.Msg)
 		} else {
-			ap.err = fmt.Errorf("%w at %s", e, name)
+			ap.err = fmt.Errorf("%w at %s", e, site)
 		}
 		if p.Err != nil {
 			// Keep both ErrInjected and the caller's error in the chain.
 			ap.err = fmt.Errorf("%w: %w", ErrInjected, ap.err)
 		}
 	}
-	mu.Lock()
-	s, ok := sites[name]
-	if !ok {
-		s = &siteState{}
-		sites[name] = s
-	}
-	mu.Unlock()
-	if s.pol.Swap(ap) == nil {
-		armed.Add(1)
+	if s.pol[site].Swap(ap) == nil {
+		s.armed.Add(1)
 	}
 }
 
-// Disarm removes a site's policy; the site stays registered.
-func Disarm(name string) {
-	mu.RLock()
-	s := sites[name]
-	mu.RUnlock()
-	if s != nil && s.pol.Swap(nil) != nil {
-		armed.Add(-1)
+// Disarm removes a site's policy.
+func (s *Set) Disarm(site Site) {
+	if s.pol[site].Swap(nil) != nil {
+		s.armed.Add(-1)
 	}
 }
 
 // DisarmAll removes every armed policy (test teardown).
-func DisarmAll() {
-	mu.RLock()
-	defer mu.RUnlock()
-	for _, s := range sites {
-		if s.pol.Swap(nil) != nil {
-			armed.Add(-1)
-		}
+func (s *Set) DisarmAll() {
+	for i := range s.pol {
+		s.Disarm(Site(i))
 	}
 }
 
 // Armed reports whether any site is currently armed.
-func Armed() bool { return armed.Load() != 0 }
+func (s *Set) Armed() bool { return s.armed.Load() != 0 }
 
 // Inject is the fault site hook for sites without a per-call argument.
 // Disarmed — the overwhelmingly common case — it is a single atomic
 // load.
-func Inject(name string) error {
-	if armed.Load() == 0 {
-		return nil
-	}
-	return injectSlow(name, "")
-}
+func (s *Set) Inject(site Site) error { return s.InjectArg(site, "") }
 
 // InjectArg is Inject for sites that pass a per-call argument (device
-// name, kernel function name, module name) for Policy.Arg matching.
-func InjectArg(name, arg string) error {
-	if armed.Load() == 0 {
+// id, kernel function name, module name) for Policy.Arg matching.
+func (s *Set) InjectArg(site Site, arg string) error {
+	if s.armed.Load() == 0 {
 		return nil
 	}
-	return injectSlow(name, arg)
+	return s.injectSlow(site, arg)
 }
 
-func injectSlow(name, arg string) error {
-	mu.RLock()
-	s := sites[name]
-	mu.RUnlock()
-	if s == nil {
-		return nil
-	}
-	ap := s.pol.Load()
+func (s *Set) injectSlow(site Site, arg string) error {
+	ap := s.pol[site].Load()
 	if ap == nil {
 		return nil
 	}
@@ -245,13 +271,24 @@ func injectSlow(name, arg string) error {
 		time.Sleep(ap.p.Delay)
 		return nil
 	case ap.p.Panic:
-		panic(PanicValue{Site: name, Msg: ap.p.Msg})
+		panic(PanicValue{Site: site, Msg: ap.p.Msg})
 	default:
 		return ap.err
 	}
 }
 
-// ArmSpec arms sites from a spec string:
+// Spec is a parsed spec string: the policies it arms, in order. One
+// Spec can be armed on any number of Sets.
+type Spec struct {
+	arms []specArm
+}
+
+type specArm struct {
+	site Site
+	p    Policy
+}
+
+// ParseSpec parses a spec string:
 //
 //	spec    := entry { ";" entry }
 //	entry   := site [ "[" arg "]" ] "=" [ triggers "->" ] action
@@ -261,9 +298,10 @@ func injectSlow(name, arg string) error {
 //	         | "panic" | "panic(msg)"
 //
 // e.g. "blockdev.write_sector=every(50)->error;kernel.entry[kmalloc]=oneshot->panic".
-// It is also applied to the LXFI_FAILPOINTS environment variable at
-// package init, and backs the -failpoints flag of the perf commands.
-func ArmSpec(spec string) error {
+// A site name outside the catalog is an error. This is the language
+// of the LXFI_FAILPOINTS environment variable.
+func ParseSpec(spec string) (Spec, error) {
+	var sp Spec
 	for _, entry := range strings.Split(spec, ";") {
 		entry = strings.TrimSpace(entry)
 		if entry == "" {
@@ -271,35 +309,43 @@ func ArmSpec(spec string) error {
 		}
 		name, term, ok := strings.Cut(entry, "=")
 		if !ok {
-			return fmt.Errorf("failpoint: spec entry %q has no '='", entry)
+			return Spec{}, fmt.Errorf("failpoint: spec entry %q has no '='", entry)
 		}
 		name = strings.TrimSpace(name)
 		p := Policy{}
 		if i := strings.IndexByte(name, '['); i >= 0 {
 			if !strings.HasSuffix(name, "]") {
-				return fmt.Errorf("failpoint: bad site arg in %q", entry)
+				return Spec{}, fmt.Errorf("failpoint: bad site arg in %q", entry)
 			}
 			p.Arg = name[i+1 : len(name)-1]
 			name = name[:i]
 		}
-		if name == "" {
-			return fmt.Errorf("failpoint: empty site name in %q", entry)
+		site, err := lookup(name)
+		if err != nil {
+			return Spec{}, err
 		}
 		action := strings.TrimSpace(term)
 		if trig, act, ok := strings.Cut(term, "->"); ok {
 			action = strings.TrimSpace(act)
 			for _, tr := range strings.Split(trig, ",") {
 				if err := parseTrigger(&p, strings.TrimSpace(tr)); err != nil {
-					return fmt.Errorf("failpoint: entry %q: %w", entry, err)
+					return Spec{}, fmt.Errorf("failpoint: entry %q: %w", entry, err)
 				}
 			}
 		}
 		if err := parseAction(&p, action); err != nil {
-			return fmt.Errorf("failpoint: entry %q: %w", entry, err)
+			return Spec{}, fmt.Errorf("failpoint: entry %q: %w", entry, err)
 		}
-		Arm(name, p)
+		sp.arms = append(sp.arms, specArm{site, p})
 	}
-	return nil
+	return sp, nil
+}
+
+// ArmSpec arms every policy of a parsed spec.
+func (s *Set) ArmSpec(sp Spec) {
+	for _, a := range sp.arms {
+		s.arm(a.site, a.p)
+	}
 }
 
 // call splits "kind(payload)" forms; ok is false for a bare word.
@@ -371,12 +417,4 @@ func parseAction(p *Policy, act string) error {
 		return fmt.Errorf("unknown action %q", act)
 	}
 	return nil
-}
-
-func init() {
-	if spec := os.Getenv("LXFI_FAILPOINTS"); spec != "" {
-		if err := ArmSpec(spec); err != nil {
-			panic(err) // a malformed chaos spec should fail fast, not silently run clean
-		}
-	}
 }

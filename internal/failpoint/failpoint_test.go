@@ -3,66 +3,67 @@ package failpoint
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
 func TestDisarmedIsNoop(t *testing.T) {
-	defer DisarmAll()
-	Register("t.noop")
-	if err := Inject("t.noop"); err != nil {
-		t.Fatalf("disarmed site returned %v", err)
+	t.Parallel()
+	var s Set
+	for _, site := range Sites() {
+		if err := s.Inject(site); err != nil {
+			t.Fatalf("disarmed %s returned %v", site, err)
+		}
 	}
-	if Armed() {
+	if s.Armed() {
 		t.Fatal("nothing armed, Armed() = true")
-	}
-	// An unregistered site is a no-op too (arming may race substrate
-	// init in either order).
-	if err := Inject("t.never-registered"); err != nil {
-		t.Fatalf("unregistered site returned %v", err)
 	}
 }
 
 func TestErrorPolicy(t *testing.T) {
-	defer DisarmAll()
-	Arm("t.err", Policy{Msg: "boom"})
-	err := Inject("t.err")
+	t.Parallel()
+	var s Set
+	mustArm(t, &s, MemPageAlloc, Policy{Msg: "boom"})
+	err := s.Inject(MemPageAlloc)
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("want ErrInjected, got %v", err)
 	}
 	custom := errors.New("custom fault")
-	Arm("t.err", Policy{Err: custom})
-	err = Inject("t.err")
+	mustArm(t, &s, MemPageAlloc, Policy{Err: custom})
+	err = s.Inject(MemPageAlloc)
 	if !errors.Is(err, ErrInjected) || !errors.Is(err, custom) {
 		t.Fatalf("want both ErrInjected and custom in chain, got %v", err)
 	}
 }
 
 func TestOneShot(t *testing.T) {
-	defer DisarmAll()
-	Arm("t.oneshot", Policy{OneShot: true})
-	if err := Inject("t.oneshot"); err == nil {
+	t.Parallel()
+	var s Set
+	mustArm(t, &s, NetstackXmit, Policy{OneShot: true})
+	if err := s.Inject(NetstackXmit); err == nil {
 		t.Fatal("first evaluation did not fire")
 	}
 	for i := 0; i < 10; i++ {
-		if err := Inject("t.oneshot"); err != nil {
+		if err := s.Inject(NetstackXmit); err != nil {
 			t.Fatalf("one-shot fired twice: %v", err)
 		}
 	}
 	// Re-arming resets the shot.
-	Arm("t.oneshot", Policy{OneShot: true})
-	if err := Inject("t.oneshot"); err == nil {
+	mustArm(t, &s, NetstackXmit, Policy{OneShot: true})
+	if err := s.Inject(NetstackXmit); err == nil {
 		t.Fatal("re-armed one-shot did not fire")
 	}
 }
 
 func TestEveryNth(t *testing.T) {
-	defer DisarmAll()
-	Arm("t.nth", Policy{EveryNth: 3})
+	t.Parallel()
+	var s Set
+	mustArm(t, &s, NetstackPoll, Policy{EveryNth: 3})
 	fired := 0
 	for i := 0; i < 9; i++ {
-		if Inject("t.nth") != nil {
+		if s.Inject(NetstackPoll) != nil {
 			fired++
 		}
 	}
@@ -72,47 +73,51 @@ func TestEveryNth(t *testing.T) {
 }
 
 func TestArgFilter(t *testing.T) {
-	defer DisarmAll()
-	Arm("t.arg", Policy{Arg: "kmalloc"})
-	if err := InjectArg("t.arg", "kfree"); err != nil {
+	t.Parallel()
+	var s Set
+	mustArm(t, &s, KernelEntry, Policy{Arg: "kmalloc"})
+	if err := s.InjectArg(KernelEntry, "kfree"); err != nil {
 		t.Fatalf("non-matching arg fired: %v", err)
 	}
-	if err := InjectArg("t.arg", "kmalloc"); err == nil {
+	if err := s.InjectArg(KernelEntry, "kmalloc"); err == nil {
 		t.Fatal("matching arg did not fire")
 	}
 }
 
 func TestPanicPolicy(t *testing.T) {
-	defer DisarmAll()
-	Arm("t.panic", Policy{Panic: true, Msg: "oops"})
+	t.Parallel()
+	var s Set
+	mustArm(t, &s, KernelEntry, Policy{Panic: true, Msg: "oops"})
 	defer func() {
 		rec := recover()
 		pv, ok := rec.(PanicValue)
-		if !ok || pv.Site != "t.panic" {
-			t.Fatalf("want PanicValue{t.panic}, got %#v", rec)
+		if !ok || pv.Site != KernelEntry || pv.String() != "failpoint kernel.entry: oops" {
+			t.Fatalf("want PanicValue{kernel.entry, oops}, got %#v", rec)
 		}
 	}()
-	Inject("t.panic")
+	s.Inject(KernelEntry)
 	t.Fatal("panic policy did not panic")
 }
 
 func TestDoPolicy(t *testing.T) {
-	defer DisarmAll()
+	t.Parallel()
+	var s Set
 	var got string
-	Arm("t.do", Policy{Do: func(arg string) error {
+	mustArm(t, &s, LoaderLoad, Policy{Do: func(arg string) error {
 		got = arg
 		return fmt.Errorf("from do")
 	}})
-	if err := InjectArg("t.do", "payload"); err == nil || got != "payload" {
+	if err := s.InjectArg(LoaderLoad, "payload"); err == nil || got != "payload" {
 		t.Fatalf("Do callback: err=%v got=%q", err, got)
 	}
 }
 
 func TestDelayPolicy(t *testing.T) {
-	defer DisarmAll()
-	Arm("t.delay", Policy{Delay: 10 * time.Millisecond})
+	t.Parallel()
+	var s Set
+	mustArm(t, &s, BlockdevReadSector, Policy{Delay: 10 * time.Millisecond})
 	start := time.Now()
-	if err := Inject("t.delay"); err != nil {
+	if err := s.Inject(BlockdevReadSector); err != nil {
 		t.Fatalf("delay policy returned error %v", err)
 	}
 	if d := time.Since(start); d < 10*time.Millisecond {
@@ -121,56 +126,101 @@ func TestDelayPolicy(t *testing.T) {
 }
 
 func TestArmSpec(t *testing.T) {
-	defer DisarmAll()
-	spec := "t.spec.a=error; t.spec.b=every(2)->error(slow disk) ;t.spec.c[kmalloc]=oneshot->panic(no memory);t.spec.d=delay(1ms)"
-	if err := ArmSpec(spec); err != nil {
+	t.Parallel()
+	var s Set
+	sp, err := ParseSpec("blockdev.read_sector=error; blockdev.write_sector=every(2)->error(slow disk) ;kernel.entry[kmalloc]=oneshot->panic(no memory);loader.load=delay(1ms)")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Inject("t.spec.a"); !errors.Is(err, ErrInjected) {
-		t.Fatalf("t.spec.a: %v", err)
+	s.ArmSpec(sp)
+	if err := s.Inject(BlockdevReadSector); !errors.Is(err, ErrInjected) {
+		t.Fatalf("blockdev.read_sector: %v", err)
 	}
-	if err := Inject("t.spec.b"); err != nil {
-		t.Fatalf("t.spec.b fired on first evaluation: %v", err)
+	if err := s.Inject(BlockdevWriteSector); err != nil {
+		t.Fatalf("blockdev.write_sector fired on first evaluation: %v", err)
 	}
-	if err := Inject("t.spec.b"); err == nil {
-		t.Fatal("t.spec.b did not fire on second evaluation")
+	if err := s.Inject(BlockdevWriteSector); err == nil {
+		t.Fatal("blockdev.write_sector did not fire on second evaluation")
 	}
-	if err := InjectArg("t.spec.c", "kfree"); err != nil {
-		t.Fatalf("t.spec.c fired on wrong arg: %v", err)
+	if err := s.InjectArg(KernelEntry, "kfree"); err != nil {
+		t.Fatalf("kernel.entry fired on wrong arg: %v", err)
 	}
 	func() {
 		defer func() {
 			pv, ok := recover().(PanicValue)
 			if !ok || pv.Msg != "no memory" {
-				t.Fatalf("t.spec.c: want panic 'no memory', got %#v", pv)
+				t.Fatalf("kernel.entry: want panic 'no memory', got %#v", pv)
 			}
 		}()
-		InjectArg("t.spec.c", "kmalloc")
+		s.InjectArg(KernelEntry, "kmalloc")
 	}()
 	for _, bad := range []string{
-		"nosign", "=error", "a=warp(3)", "a=every(x)->error", "a=prob(2)->error",
-		"a[unclosed=error", "a=delay(-1s)",
+		"nosign", "=error", "mem.page_alloc=warp(3)", "mem.page_alloc=every(x)->error",
+		"mem.page_alloc=prob(2)->error", "mem.page_alloc[unclosed=error", "mem.page_alloc=delay(-1s)",
+		"blockdev.write_sectr=error",
 	} {
-		if err := ArmSpec(bad); err == nil {
+		if _, err := ParseSpec(bad); err == nil {
 			t.Fatalf("spec %q parsed without error", bad)
 		}
 	}
 }
 
+// TestUnknownSiteListsCatalog pins the error for a site outside the
+// catalog: it names every valid site, from ParseSpec and Arm alike.
+func TestUnknownSiteListsCatalog(t *testing.T) {
+	t.Parallel()
+	var s Set
+	_, specErr := ParseSpec("blockdev.write_sectr=error")
+	for _, err := range []error{specErr, s.Arm(Site(200), Policy{})} {
+		if err == nil {
+			t.Fatal("unknown site armed without error")
+		}
+		for _, site := range Sites() {
+			if !strings.Contains(err.Error(), site.String()) {
+				t.Fatalf("error %q does not list %s", err, site)
+			}
+		}
+	}
+	if s.Armed() {
+		t.Fatal("an unknown site armed something")
+	}
+}
+
 func TestSitesSorted(t *testing.T) {
-	defer DisarmAll()
-	Register("t.z")
-	Register("t.a")
-	names := Sites()
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatalf("Sites() not sorted/unique: %v", names)
+	t.Parallel()
+	sites := Sites()
+	if len(sites) != 10 {
+		t.Fatalf("catalog has %d sites: %v", len(sites), sites)
+	}
+	for i := 1; i < len(sites); i++ {
+		if sites[i-1].String() >= sites[i].String() {
+			t.Fatalf("Sites() not sorted/unique: %v", sites)
 		}
 	}
 }
 
+// TestSetIsolation: a policy armed on one Set never fires
+// through another, and disarming one leaves the other armed.
+func TestSetIsolation(t *testing.T) {
+	t.Parallel()
+	var a, b Set
+	mustArm(t, &a, KernelEntry, Policy{OneShot: true})
+	mustArm(t, &b, KernelEntry, Policy{})
+	if err := b.Inject(KernelEntry); err == nil {
+		t.Fatal("b's own policy did not fire")
+	}
+	b.DisarmAll()
+	if b.Armed() || !a.Armed() {
+		t.Fatalf("DisarmAll on b: a.Armed()=%v b.Armed()=%v", a.Armed(), b.Armed())
+	}
+	if err := a.Inject(KernelEntry); err == nil {
+		t.Fatal("a's one-shot was used up by b")
+	}
+}
+
 func TestConcurrentArmInject(t *testing.T) {
-	defer DisarmAll()
+	t.Parallel()
+	var s Set
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for i := 0; i < 4; i++ {
@@ -183,24 +233,34 @@ func TestConcurrentArmInject(t *testing.T) {
 					return
 				default:
 				}
-				Inject("t.race")
-				InjectArg("t.race", "x")
+				s.Inject(NetstackXmitBatch)
+				s.InjectArg(NetstackXmitBatch, "x")
 			}
 		}()
 	}
 	for i := 0; i < 200; i++ {
-		Arm("t.race", Policy{EveryNth: 2})
-		Disarm("t.race")
+		mustArm(t, &s, NetstackXmitBatch, Policy{EveryNth: 2})
+		s.Disarm(NetstackXmitBatch)
 	}
 	close(stop)
 	wg.Wait()
+	if s.Armed() {
+		t.Fatal("armed count drifted under concurrent Arm/Disarm")
+	}
+}
+
+func mustArm(t *testing.T, s *Set, site Site, p Policy) {
+	t.Helper()
+	if err := s.Arm(site, p); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func BenchmarkInjectDisarmed(b *testing.B) {
-	Register("bench.disarmed")
+	var s Set
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := Inject("bench.disarmed"); err != nil {
+		if err := s.Inject(KernelEntry); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
+
+	"lxfi/internal/failpoint"
 )
 
 func TestMapAndRW(t *testing.T) {
@@ -184,7 +186,7 @@ func TestSizeClassFor(t *testing.T) {
 
 func newSlab() (*AddressSpace, *Slab) {
 	as := NewAddressSpace()
-	return as, NewSlab(as, KernelHeap)
+	return as, NewSlab(as, KernelHeap, new(failpoint.Set))
 }
 
 func TestSlabAllocFree(t *testing.T) {

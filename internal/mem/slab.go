@@ -9,10 +9,6 @@ import (
 	"lxfi/internal/failpoint"
 )
 
-func init() {
-	failpoint.Register("mem.page_alloc")
-}
-
 // Slab is a SLUB-like slab allocator over an AddressSpace.
 //
 // Objects of the same size class are packed back to back inside a page,
@@ -23,6 +19,7 @@ func init() {
 type Slab struct {
 	mu       sync.Mutex // guards all allocator state (lock order: Slab.mu before AddressSpace.mu)
 	as       *AddressSpace
+	faults   *failpoint.Set
 	heapNext Addr // next fresh page to carve (bump allocated)
 
 	classes map[uint64]*sizeClass
@@ -66,10 +63,12 @@ var (
 	ErrZeroAlloc = errors.New("mem: zero-size allocation")
 )
 
-// NewSlab returns a slab allocator carving pages from heapBase upward.
-func NewSlab(as *AddressSpace, heapBase Addr) *Slab {
+// NewSlab returns a slab allocator carving pages from heapBase upward,
+// whose allocations inject the mem.page_alloc site through faults.
+func NewSlab(as *AddressSpace, heapBase Addr, faults *failpoint.Set) *Slab {
 	s := &Slab{
 		as:       as,
+		faults:   faults,
 		heapNext: PageBase(heapBase),
 		classes:  make(map[uint64]*sizeClass),
 		objects:  make(map[Addr]objInfo),
@@ -100,7 +99,7 @@ func (s *Slab) Alloc(size uint64) (Addr, error) {
 	}
 	// Fault site: an injected error is an allocation failure — kmalloc
 	// returning NULL under memory pressure.
-	if err := failpoint.Inject("mem.page_alloc"); err != nil {
+	if err := s.faults.Inject(failpoint.MemPageAlloc); err != nil {
 		return 0, err
 	}
 	s.mu.Lock()

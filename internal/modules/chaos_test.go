@@ -1,6 +1,6 @@
 package modules_test
 
-// The chaos battery: every registered failpoint site is driven against
+// The chaos battery: every failpoint site of the catalog is driven against
 // concurrent filesystem and network traffic, with the supervisor
 // restarting whatever dies. The invariants, asserted at the end of the
 // run:
@@ -44,6 +44,9 @@ type chaosRig struct {
 	stop chan struct{}
 	wg   sync.WaitGroup
 	ops  atomic.Uint64 // successful worker operations
+	// halt stops the workers and waits for them; it runs once, from
+	// the test or from cleanup on any exit path.
+	halt func()
 }
 
 func bootChaos(t *testing.T) *chaosRig {
@@ -60,6 +63,10 @@ func bootChaos(t *testing.T) *chaosRig {
 		}
 	}
 	r := &chaosRig{ld: ld, stop: make(chan struct{})}
+	r.halt = sync.OnceFunc(func() {
+		close(r.stop)
+		r.wg.Wait()
+	})
 	var err error
 	if r.tmp, err = ld.BC.FS.Mount(th, tmpfssim.FsID, 0); err != nil {
 		t.Fatal(err)
@@ -72,6 +79,12 @@ func bootChaos(t *testing.T) *chaosRig {
 		// The battery kills modules far more often than any production
 		// window would tolerate; keep the breaker out of the way.
 		BreakerFailures: 1 << 20,
+	})
+	// A failed round returns with workers still crossing: stop them
+	// before the next test runs.
+	t.Cleanup(func() {
+		r.halt()
+		r.sup.Stop()
 	})
 	return r
 }
@@ -92,6 +105,11 @@ func (r *chaosRig) fsWorker(name string, sb mem.Addr) {
 		}
 		path := fmt.Sprintf("/%s-%d", name, i%4)
 		if _, err := v.Create(th, sb, path); err != nil {
+			// A round cut short by an injected fault leaves its file
+			// behind; clear it, or the path stays EEXIST for the rest
+			// of the run and the worker never crosses into the
+			// module again.
+			_ = v.Unlink(th, sb, path)
 			continue
 		}
 		if _, err := v.Write(th, sb, path, 0, data); err != nil {
@@ -159,9 +177,7 @@ func managed(name string) bool {
 }
 
 func TestChaosBattery(t *testing.T) {
-	defer failpoint.DisarmAll()
 	r := bootChaos(t)
-	defer r.sup.Stop()
 	sys := r.ld.BC.K.Sys
 	th := sys.NewThread("chaos-main")
 
@@ -173,17 +189,13 @@ func TestChaosBattery(t *testing.T) {
 	go r.netWorker()
 	go r.syncWorker()
 
-	// Phase 1 — error storms: every registered site in turn returns
+	// Phase 1 — error storms: every catalog site in turn returns
 	// injected errors into live traffic. Nothing dies; every caller
 	// must degrade to an error return, never a hang or a panic.
-	sites := failpoint.Sites()
-	if len(sites) < 9 {
-		t.Fatalf("only %d registered sites: %v", len(sites), sites)
-	}
-	for _, site := range sites {
-		failpoint.Arm(site, failpoint.Policy{EveryNth: 3, Msg: "chaos"})
+	for _, site := range failpoint.Sites() {
+		armFault(t, r.ld, site, failpoint.Policy{EveryNth: 3, Msg: "chaos"})
 		time.Sleep(5 * time.Millisecond)
-		failpoint.Disarm(site)
+		sys.Faults.Disarm(site)
 	}
 	if len(sys.Mon.Violations()) != 0 {
 		t.Fatalf("error storms caused violations: %v", sys.Mon.Violations())
@@ -201,7 +213,7 @@ func TestChaosBattery(t *testing.T) {
 		}
 		before := len(sys.Mon.Violations())
 		restarts := r.sup.Restarts()
-		failpoint.Arm("kernel.entry", failpoint.Policy{Arg: arg, Panic: true, OneShot: true, Msg: "chaos"})
+		armFault(t, r.ld, failpoint.KernelEntry, failpoint.Policy{Arg: arg, Panic: true, OneShot: true, Msg: "chaos"})
 		fired := false
 		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
 			if len(sys.Mon.Violations()) > before {
@@ -210,7 +222,7 @@ func TestChaosBattery(t *testing.T) {
 			}
 			time.Sleep(time.Millisecond)
 		}
-		failpoint.Disarm("kernel.entry")
+		sys.Faults.Disarm(failpoint.KernelEntry)
 		if !fired {
 			t.Fatalf("round %d (arg %q): panic never fired under traffic", round, arg)
 		}
@@ -224,8 +236,7 @@ func TestChaosBattery(t *testing.T) {
 
 	// Stop the workers and verify they made real progress through the
 	// storms.
-	close(r.stop)
-	r.wg.Wait()
+	r.halt()
 	if r.ops.Load() == 0 {
 		t.Fatal("no worker operation ever succeeded")
 	}
@@ -240,7 +251,7 @@ func TestChaosBattery(t *testing.T) {
 
 	// Bounded recovery: everything is alive and serves a clean pass
 	// with all sites disarmed.
-	failpoint.DisarmAll()
+	sys.Faults.DisarmAll()
 	if !r.sup.WaitIdle(10 * time.Second) {
 		t.Fatal("supervisor not idle at end of run")
 	}
@@ -305,7 +316,6 @@ func TestChaosBattery(t *testing.T) {
 // (kernel-heap state survives) and its shared principal only swaps
 // section-local capabilities one-for-one for the successor's.
 func TestRestartPreservesCapabilities(t *testing.T) {
-	defer failpoint.DisarmAll()
 	ld, th := newLoader(t, core.Enforce)
 	if _, err := ld.Load(th, "tmpfssim"); err != nil {
 		t.Fatal(err)

@@ -28,7 +28,7 @@ import (
 // the later restart cannot re-trip it) and trips it with a create.
 func killFS(t *testing.T, ld *modules.Loader, th *core.Thread, name string, sb mem.Addr) {
 	t.Helper()
-	failpoint.Arm("kernel.entry", failpoint.Policy{Arg: "iget", Panic: true, OneShot: true})
+	armFault(t, ld, failpoint.KernelEntry, failpoint.Policy{Arg: "iget", Panic: true, OneShot: true})
 	if _, err := ld.BC.FS.Create(th, sb, "/killer"); err == nil {
 		t.Fatal("create succeeded with a panic armed at iget")
 	}
@@ -39,7 +39,7 @@ func killFS(t *testing.T, ld *modules.Loader, th *core.Thread, name string, sb m
 }
 
 func TestDeadFSModuleFailsCleanly(t *testing.T) {
-	defer failpoint.DisarmAll()
+	t.Parallel()
 	ld, th := newLoader(t, core.Enforce)
 	if _, err := ld.Load(th, "tmpfssim"); err != nil {
 		t.Fatal(err)
@@ -99,7 +99,7 @@ func TestDeadFSModuleFailsCleanly(t *testing.T) {
 }
 
 func TestDirtyPagesParkAcrossModuleDeath(t *testing.T) {
-	defer failpoint.DisarmAll()
+	t.Parallel()
 	k := kernel.New()
 	k.Sys.Mon.SetMode(core.Enforce)
 	bl := blockdev.Init(k)

@@ -122,22 +122,20 @@ func (n *Nic) requeueFront(frames [][]byte) {
 	n.mu.Unlock()
 }
 
-// nics maps a PCI bus to its persistent NIC: reloading the driver swaps
-// the module code, not the hardware. Entries live as long as the bus.
-var (
-	nicMu sync.Mutex
-	nics  = map[*pci.Bus]*Nic{}
-)
-
-func nicFor(bus *pci.Bus) *Nic {
-	nicMu.Lock()
-	defer nicMu.Unlock()
-	if n := nics[bus]; n != nil {
-		return n
+// deviceNic returns the NIC of the bus's 82540EM, creating it on the
+// driver's first load. Reloading the driver swaps the module code, not
+// the hardware: the NIC is the pci.Device's Model, so every generation
+// finds the same one. Nil when the bus has no such device.
+func deviceNic(bus *pci.Bus) *Nic {
+	for _, dev := range bus.Devices() {
+		if dev.Vendor == VendorIntel && dev.DevID == Dev82540EM {
+			if dev.Model == nil {
+				dev.Model = &Nic{}
+			}
+			return dev.Model.(*Nic)
+		}
 	}
-	n := &Nic{}
-	nics[bus] = n
-	return n
+	return nil
 }
 
 // Driver is a loaded e1000sim module instance.
@@ -187,7 +185,7 @@ var Imports = []string{
 // Load loads the e1000sim module and registers its PCI driver; any
 // matching devices on the bus are probed immediately.
 func Load(t *core.Thread, k *kernel.Kernel, bus *pci.Bus, stack *netstack.Stack) (*Driver, error) {
-	d := &Driver{Bus: bus, Stack: stack, K: k, Nic: nicFor(bus)}
+	d := &Driver{Bus: bus, Stack: stack, K: k, Nic: deviceNic(bus)}
 
 	m, err := k.Sys.LoadModule(core.ModuleSpec{
 		Name:     "e1000",

@@ -12,12 +12,6 @@ import (
 	"lxfi/internal/mem"
 )
 
-func init() {
-	failpoint.Register("loader.load")
-	failpoint.Register("loader.unload")
-	failpoint.Register("loader.migrate")
-}
-
 // Loader loads, unloads, and hot-reloads registered modules against
 // one boot context. It is safe for concurrent use, and lifecycle
 // operations on *distinct* modules run concurrently: one module can be
@@ -156,7 +150,7 @@ func (l *Loader) LoadWith(t *core.Thread, name string, opt any) (Instance, error
 func (l *Loader) load(t *core.Thread, d *Descriptor, opt any) (Instance, error) {
 	// Fault site: an injected error is a generation that failed to boot
 	// (Reload's rollback path exercises it).
-	if err := failpoint.InjectArg("loader.load", d.Name); err != nil {
+	if err := l.BC.K.Sys.Faults.InjectArg(failpoint.LoaderLoad, d.Name); err != nil {
 		return nil, err
 	}
 	for _, req := range d.Requires {
@@ -222,7 +216,7 @@ func (l *Loader) ownerOf(moduleName string) (string, bool) {
 // unloadHook runs the descriptor's Unload hook (plus the loader.unload
 // fault site) for inst.
 func (l *Loader) unloadHook(t *core.Thread, lm *loadedModule, inst Instance) error {
-	if err := failpoint.InjectArg("loader.unload", lm.name); err != nil {
+	if err := l.BC.K.Sys.Faults.InjectArg(failpoint.LoaderUnload, lm.name); err != nil {
 		return err
 	}
 	if lm.desc.Unload == nil {
@@ -323,7 +317,7 @@ func (l *Loader) Reload(t *core.Thread, name string) (*ReloadStats, error) {
 		// migration is made to fail. Unhook and unload the unpublished
 		// successor, then take the rollback path as if the load itself
 		// had failed.
-		if ferr := failpoint.InjectArg("loader.migrate", name); ferr != nil {
+		if ferr := sys.Faults.InjectArg(failpoint.LoaderMigrate, name); ferr != nil {
 			_ = l.unloadHook(t, lm, inst)
 			sys.UnloadModule(inst.Module().Name)
 			inst, err = nil, ferr

@@ -52,12 +52,20 @@ func (l *eventLog) has(kind string) bool {
 	return false
 }
 
+// armFault arms a policy on the loader's own System.
+func armFault(t *testing.T, ld *modules.Loader, site failpoint.Site, p failpoint.Policy) {
+	t.Helper()
+	if err := ld.BC.K.Sys.Faults.Arm(site, p); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // killEconet arms a one-shot contained panic at the kernel-export
 // boundary and trips it with a socket(2): econet's create calls
 // kmalloc, the gate converts the panic into a module kill.
 func killEconet(t *testing.T, ld *modules.Loader, th *core.Thread) {
 	t.Helper()
-	failpoint.Arm("kernel.entry", failpoint.Policy{Arg: "kmalloc", Panic: true, OneShot: true})
+	armFault(t, ld, failpoint.KernelEntry, failpoint.Policy{Arg: "kmalloc", Panic: true, OneShot: true})
 	if _, err := ld.BC.Net.Socket(th, econet.Family); err == nil {
 		t.Fatal("socket succeeded with a panic armed at kmalloc")
 	}
@@ -67,10 +75,40 @@ func killEconet(t *testing.T, ld *modules.Loader, th *core.Thread) {
 	}
 }
 
+// TestFailpointIsolationAcrossSystems: a one-shot armed on one kernel
+// belongs to that kernel. Module-to-kernel crossings on a second
+// kernel never fire it, and the first kernel's next crossing does.
+func TestFailpointIsolationAcrossSystems(t *testing.T) {
+	t.Parallel()
+	a, tha := newLoader(t, core.Enforce)
+	b, thb := newLoader(t, core.Enforce)
+	if _, err := a.Load(tha, "econet"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Load(thb, "econet"); err != nil {
+		t.Fatal(err)
+	}
+	armFault(t, a, failpoint.KernelEntry, failpoint.Policy{Arg: "kmalloc", Panic: true, OneShot: true})
+	for i := 0; i < 16; i++ {
+		if _, err := b.BC.Net.Socket(thb, econet.Family); err != nil {
+			t.Fatalf("socket %d on B: %v (B fired A's failpoint)", i, err)
+		}
+	}
+	if v := b.BC.K.Sys.Mon.Violations(); len(v) != 0 {
+		t.Fatalf("B recorded violations: %v", v)
+	}
+	if _, err := a.BC.Net.Socket(tha, econet.Family); err == nil {
+		t.Fatal("A's next crossing did not fire its one-shot")
+	}
+	if m, ok := a.Module("econet"); !ok || !m.Dead() {
+		t.Fatal("A's contained panic did not kill its econet")
+	}
+}
+
 func TestSupervisorRestartsKilledModule(t *testing.T) {
+	t.Parallel()
 	for _, mode := range []core.Mode{core.Off, core.Enforce} {
 		t.Run(mode.String(), func(t *testing.T) {
-			defer failpoint.DisarmAll()
 			ld, th := newLoader(t, mode)
 			if _, err := ld.Load(th, "econet"); err != nil {
 				t.Fatal(err)
@@ -134,6 +172,7 @@ func TestSupervisorRestartsKilledModule(t *testing.T) {
 }
 
 func TestSupervisorStopRemovesMetricsSource(t *testing.T) {
+	t.Parallel()
 	ld, th := newLoader(t, core.Enforce)
 	if _, err := ld.Load(th, "econet"); err != nil {
 		t.Fatal(err)
@@ -149,7 +188,7 @@ func TestSupervisorStopRemovesMetricsSource(t *testing.T) {
 }
 
 func TestSupervisorBreakerOpensUnderEnforcement(t *testing.T) {
-	defer failpoint.DisarmAll()
+	t.Parallel()
 	ld, th := newLoader(t, core.Enforce)
 	if _, err := ld.Load(th, "econet"); err != nil {
 		t.Fatal(err)
@@ -209,7 +248,7 @@ func TestSupervisorBreakerOpensUnderEnforcement(t *testing.T) {
 }
 
 func TestSupervisorBreakerDoesNotOpenInStockMode(t *testing.T) {
-	defer failpoint.DisarmAll()
+	t.Parallel()
 	ld, th := newLoader(t, core.Off)
 	if _, err := ld.Load(th, "econet"); err != nil {
 		t.Fatal(err)
@@ -241,7 +280,7 @@ func TestSupervisorBreakerDoesNotOpenInStockMode(t *testing.T) {
 }
 
 func TestSupervisorRestartBudget(t *testing.T) {
-	defer failpoint.DisarmAll()
+	t.Parallel()
 	ld, th := newLoader(t, core.Enforce)
 	if _, err := ld.Load(th, "econet"); err != nil {
 		t.Fatal(err)
@@ -278,7 +317,6 @@ func TestSupervisorRestartBudget(t *testing.T) {
 // locking: a reload stalled in quiesce (an in-flight crossing pinned
 // inside econet) must not serialise a concurrent reload of can.
 func TestConcurrentReloadDistinctModules(t *testing.T) {
-	defer failpoint.DisarmAll()
 	ld, th := newLoader(t, core.Enforce)
 	if _, err := ld.Load(th, "econet"); err != nil {
 		t.Fatal(err)
@@ -292,7 +330,7 @@ func TestConcurrentReloadDistinctModules(t *testing.T) {
 	// whose kmalloc call blocks in the failpoint callback.
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	failpoint.Arm("kernel.entry", failpoint.Policy{
+	armFault(t, ld, failpoint.KernelEntry, failpoint.Policy{
 		Arg: "kmalloc", OneShot: true,
 		Do: func(string) error { close(entered); <-release; return nil },
 	})

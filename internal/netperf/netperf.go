@@ -126,53 +126,38 @@ func (r *Rig) RxBurst(frameSize, n int) error {
 // runs packages in parallel.
 const measureRounds = 3
 
-// MeasureTxCost returns the measured CPU cost (ns) per transmitted
-// packet (best of several rounds).
-func (r *Rig) MeasureTxCost(payload uint64, packets int) (float64, error) {
-	for i := 0; i < packets/10+1; i++ { // warmup
+// MeasureCosts' rounds: each path gets costRounds*packets timed
+// packets per build, in rounds of costBurst packets.
+const (
+	costRounds = 7
+	costBurst  = 64
+)
+
+// txRound returns the CPU cost (ns) per transmitted packet over one
+// timed round of packets transmissions.
+func (r *Rig) txRound(payload uint64, packets int) (float64, error) {
+	start := time.Now()
+	for i := 0; i < packets; i++ {
 		if err := r.TxPacket(payload); err != nil {
 			return 0, err
 		}
 	}
-	best := 0.0
-	for round := 0; round < measureRounds; round++ {
-		start := time.Now()
-		for i := 0; i < packets; i++ {
-			if err := r.TxPacket(payload); err != nil {
-				return 0, err
-			}
-		}
-		ns := float64(time.Since(start).Nanoseconds()) / float64(packets)
-		if best == 0 || ns < best {
-			best = ns
-		}
-	}
-	return best, nil
+	return float64(time.Since(start).Nanoseconds()) / float64(packets), nil
 }
 
-// MeasureRxCost returns the measured CPU cost (ns) per received packet
-// (best of several rounds).
-func (r *Rig) MeasureRxCost(frameSize, packets int) (float64, error) {
-	if err := r.RxBurst(frameSize, packets/10+1); err != nil {
-		return 0, err
-	}
+// rxRound returns the CPU cost (ns) per received packet over one timed
+// round of at least packets receptions.
+func (r *Rig) rxRound(frameSize, packets int) (float64, error) {
 	const burst = 32
-	best := 0.0
-	for round := 0; round < measureRounds; round++ {
-		start := time.Now()
-		done := 0
-		for done < packets {
-			if err := r.RxBurst(frameSize, burst); err != nil {
-				return 0, err
-			}
-			done += burst
+	start := time.Now()
+	done := 0
+	for done < packets {
+		if err := r.RxBurst(frameSize, burst); err != nil {
+			return 0, err
 		}
-		ns := float64(time.Since(start).Nanoseconds()) / float64(done)
-		if best == 0 || ns < best {
-			best = ns
-		}
+		done += burst
 	}
-	return best, nil
+	return float64(time.Since(start).Nanoseconds()) / float64(done), nil
 }
 
 // Costs holds measured per-packet CPU costs for both builds.
@@ -184,7 +169,12 @@ type Costs struct {
 	Metrics *core.MetricsSnapshot
 }
 
-// MeasureCosts measures all path costs on fresh rigs.
+// MeasureCosts measures all path costs on a fresh rig per build. The
+// Fig. 12 rows divide one path's or build's cost by another's, so the
+// rounds are short, interleave builds and paths, and each path keeps
+// its fastest round: on a shared CPU a round much shorter than a
+// scheduler slice usually runs uninterrupted, and a stall cannot cover
+// every round of one side of a ratio.
 func MeasureCosts(packets int) (*Costs, error) {
 	c := &Costs{
 		TxTCP: map[core.Mode]float64{},
@@ -192,28 +182,45 @@ func MeasureCosts(packets int) (*Costs, error) {
 		RxTCP: map[core.Mode]float64{},
 		RxUDP: map[core.Mode]float64{},
 	}
-	for _, mode := range []core.Mode{core.Off, core.Enforce} {
+	paths := []struct {
+		out   map[core.Mode]float64
+		round func(*Rig) (float64, error)
+	}{
+		{c.TxTCP, func(r *Rig) (float64, error) { return r.txRound(TCPPayload, costBurst) }},
+		{c.TxUDP, func(r *Rig) (float64, error) { return r.txRound(UDPPayload, costBurst) }},
+		{c.RxTCP, func(r *Rig) (float64, error) { return r.rxRound(TCPPayload, costBurst) }},
+		{c.RxUDP, func(r *Rig) (float64, error) { return r.rxRound(UDPPayload, costBurst) }},
+	}
+	rounds := max(costRounds, costRounds*packets/costBurst)
+	modes := []core.Mode{core.Off, core.Enforce}
+	rigs := map[core.Mode]*Rig{}
+	for _, mode := range modes {
 		rig, err := NewRig(mode)
 		if err != nil {
 			return nil, err
 		}
-		if c.TxTCP[mode], err = rig.MeasureTxCost(TCPPayload, packets); err != nil {
-			return nil, err
+		for _, p := range paths { // warmup
+			if _, err := p.round(rig); err != nil {
+				return nil, err
+			}
 		}
-		if c.TxUDP[mode], err = rig.MeasureTxCost(UDPPayload, packets); err != nil {
-			return nil, err
-		}
-		if c.RxTCP[mode], err = rig.MeasureRxCost(TCPPayload, packets); err != nil {
-			return nil, err
-		}
-		if c.RxUDP[mode], err = rig.MeasureRxCost(UDPPayload, packets); err != nil {
-			return nil, err
-		}
-		if mode == core.Enforce {
-			m := rig.K.Sys.Metrics()
-			c.Metrics = &m
+		rigs[mode] = rig
+	}
+	for round := 0; round < rounds; round++ {
+		for _, p := range paths {
+			for _, mode := range modes {
+				ns, err := p.round(rigs[mode])
+				if err != nil {
+					return nil, err
+				}
+				if best, ok := p.out[mode]; !ok || ns < best {
+					p.out[mode] = ns
+				}
+			}
 		}
 	}
+	m := rigs[core.Enforce].K.Sys.Metrics()
+	c.Metrics = &m
 	return c, nil
 }
 
@@ -429,14 +436,17 @@ func GuardCosts() (*GuardCostSet, error) {
 		return th, m, mem.Addr(buf), nil
 	}
 
-	timeCall := func(th *core.Thread, m *core.Module, fn string) (float64, error) {
+	timeCallN := func(th *core.Thread, m *core.Module, fn string, n int) (float64, error) {
 		start := time.Now()
-		for i := 0; i < iters; i++ {
+		for i := 0; i < n; i++ {
 			if _, err := th.CallModule(m, fn); err != nil {
 				return 0, err
 			}
 		}
-		return float64(time.Since(start).Nanoseconds()) / iters, nil
+		return float64(time.Since(start).Nanoseconds()) / float64(n), nil
+	}
+	timeCall := func(th *core.Thread, m *core.Module, fn string) (float64, error) {
+		return timeCallN(th, m, fn, iters)
 	}
 
 	thOff, mOff, _, err := build(core.Off)
@@ -503,25 +513,41 @@ func GuardCosts() (*GuardCostSet, error) {
 	}
 	// The uncached IndirectCall, not a bound IndGate: a gate's slot-cache
 	// hit would skip the writer-set check this comparison measures.
-	timeInd := func(slot mem.Addr) (float64, error) {
+	timeInd := func(slot mem.Addr, n int) (float64, error) {
 		start := time.Now()
-		for i := 0; i < iters; i++ {
+		for i := 0; i < n; i++ {
 			if _, err := rig.Th.IndirectCall(slot, netstack.NdoOpen, uint64(rig.Drv.Dev)); err != nil {
 				return 0, err
 			}
 		}
-		return float64(time.Since(start).Nanoseconds()) / iters, nil
+		return float64(time.Since(start).Nanoseconds()) / float64(n), nil
 	}
-	fast, err := timeInd(fastSlot)
-	if err != nil {
-		return nil, err
+	// Short interleaved rounds, fastest kept per slot and for the
+	// empty-crossing baseline subtracted from both (as in MeasureCosts):
+	// a stall on a shared CPU must not cover every round of one of the
+	// three.
+	const indBurst = 500
+	var empty, fast, slow float64
+	for round := 0; round < measureRounds*iters/indBurst; round++ {
+		e, err := timeCallN(thOn, mOn, "empty", indBurst)
+		if err != nil {
+			return nil, err
+		}
+		f, err := timeInd(fastSlot, indBurst)
+		if err != nil {
+			return nil, err
+		}
+		s, err := timeInd(slowSlot, indBurst)
+		if err != nil {
+			return nil, err
+		}
+		if round == 0 {
+			empty, fast, slow = e, f, s
+		}
+		empty, fast, slow = min(empty, e), min(fast, f), min(slow, s)
 	}
-	slow, err := timeInd(slowSlot)
-	if err != nil {
-		return nil, err
-	}
-	out.IndCallFastNs = max0(fast - emptyOn)
-	out.IndCallSlowNs = max0(slow - emptyOn)
+	out.IndCallFastNs = max0(fast - empty)
+	out.IndCallSlowNs = max0(slow - empty)
 	return out, nil
 }
 

@@ -171,7 +171,7 @@ func (s *Stack) txBatchArr(dev mem.Addr) mem.Addr {
 func (s *Stack) EnqueueTx(t *core.Thread, dev, skb mem.Addr, owner *caps.Principal) error {
 	// Same fault seam as the per-packet path: an injected error drops
 	// the packet before it reaches the qdisc.
-	if err := failpoint.Inject("netstack.xmit"); err != nil {
+	if err := s.K.Sys.Faults.Inject(failpoint.NetstackXmit); err != nil {
 		return err
 	}
 	qd, err := s.devQdisc(dev)
@@ -201,7 +201,7 @@ func (s *Stack) EnqueueTx(t *core.Thread, dev, skb mem.Addr, owner *caps.Princip
 func (s *Stack) DrainTx(t *core.Thread, dev mem.Addr, budget int) (consumed, denied int, err error) {
 	// Fault site: cut power mid-batch — the drain fails after packets
 	// were enqueued but before the batch crossing runs.
-	if err := failpoint.Inject("netstack.xmit_batch"); err != nil {
+	if err := s.K.Sys.Faults.Inject(failpoint.NetstackXmitBatch); err != nil {
 		return 0, 0, err
 	}
 	if budget <= 0 || budget > TxBatchMax {

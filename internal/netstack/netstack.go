@@ -22,12 +22,6 @@ import (
 	"lxfi/internal/mem"
 )
 
-func init() {
-	failpoint.Register("netstack.xmit")
-	failpoint.Register("netstack.poll")
-	failpoint.Register("netstack.xmit_batch")
-}
-
 // Layout names.
 const (
 	SkBuff    = "struct sk_buff"
@@ -505,7 +499,7 @@ func (s *Stack) newPfifo() mem.Addr {
 func (s *Stack) XmitSkb(t *core.Thread, dev, skb mem.Addr) (uint64, error) {
 	// Fault site: an injected error drops the packet at the TX entry,
 	// like a carrier loss between the protocol and the qdisc.
-	if err := failpoint.Inject("netstack.xmit"); err != nil {
+	if err := s.K.Sys.Faults.Inject(failpoint.NetstackXmit); err != nil {
 		return 0, err
 	}
 	sys := s.K.Sys
@@ -534,7 +528,7 @@ func (s *Stack) XmitSkb(t *core.Thread, dev, skb mem.Addr) (uint64, error) {
 func (s *Stack) Poll(t *core.Thread, dev mem.Addr, budget uint64) (uint64, error) {
 	// Fault site: an injected error fails the NAPI poll round before the
 	// driver crossing runs.
-	if err := failpoint.Inject("netstack.poll"); err != nil {
+	if err := s.K.Sys.Faults.Inject(failpoint.NetstackPoll); err != nil {
 		return 0, err
 	}
 	s.regMu.RLock()

@@ -42,6 +42,12 @@ type Device struct {
 	Module  string // binding driver module
 	irqFn   func(t *core.Thread)
 	irqName string
+
+	// Model is the device-side state of the simulated hardware (the
+	// e1000's NIC queues and rings). It lives on the device, not on a
+	// driver instance, so it survives driver reloads and dies with the
+	// bus.
+	Model any
 }
 
 type driver struct {
