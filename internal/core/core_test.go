@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -785,6 +786,105 @@ func TestGuardStatsCounting(t *testing.T) {
 	}
 	if d.PrincipalSwitches != 1 {
 		t.Fatalf("principal switches = %d", d.PrincipalSwitches)
+	}
+}
+
+// TestScalarStoresGuardedOnce: every store width, inside one page or
+// straddling two, runs exactly one memory-write check. With WRITE over
+// the bytes the value lands; without it the store is a memwrite
+// violation and memory is untouched.
+func TestScalarStoresGuardedOnce(t *testing.T) {
+	stores := []struct {
+		name  string
+		width uint64
+		store func(th *core.Thread, a mem.Addr) error
+	}{
+		{"WriteU64", 8, func(th *core.Thread, a mem.Addr) error { return th.WriteU64(a, 0x0807060504030201) }},
+		{"WriteU32", 4, func(th *core.Thread, a mem.Addr) error { return th.WriteU32(a, 0x04030201) }},
+		{"WriteU16", 2, func(th *core.Thread, a mem.Addr) error { return th.WriteU16(a, 0x0201) }},
+		{"WriteU8", 1, func(th *core.Thread, a mem.Addr) error { return th.WriteU8(a, 0x01) }},
+	}
+	for _, st := range stores {
+		for _, straddle := range []bool{false, true} {
+			name := fmt.Sprintf("%s/straddle=%v", st.name, straddle)
+			// off places the store at a page end, straddling the next
+			// page by half its width when straddle is set.
+			off := mem.Addr(mem.PageSize - st.width)
+			if straddle {
+				off = mem.Addr(mem.PageSize - st.width/2)
+				if st.width == 1 {
+					continue
+				}
+			}
+			want := []byte{1, 2, 3, 4, 5, 6, 7, 8}[:st.width]
+
+			t.Run(name+"/owned", func(t *testing.T) {
+				f := newFixture(t, core.Enforce)
+				var obj mem.Addr
+				m := f.loadModule(t, "m", []string{"kmalloc"}, func(th *core.Thread, args []uint64) uint64 {
+					p, _ := th.CallKernel("kmalloc", 2*mem.PageSize)
+					obj = mem.Addr(p)
+					if err := st.store(th, obj+off); err != nil {
+						t.Errorf("store: %v", err)
+					}
+					return 0
+				})
+				before := f.sys.Mon.Stats.Snapshot()
+				if _, err := f.t.CallModule(m, "run", 0); err != nil {
+					t.Fatal(err)
+				}
+				if d := f.sys.Mon.Stats.Snapshot().Sub(before); d.MemWriteChecks != 1 {
+					t.Fatalf("memwrite checks = %d, want 1", d.MemWriteChecks)
+				}
+				got, _ := f.sys.AS.ReadBytes(obj+off, st.width)
+				if string(got) != string(want) {
+					t.Fatalf("stored % x, want % x", got, want)
+				}
+			})
+
+			t.Run(name+"/denied", func(t *testing.T) {
+				f := newFixture(t, core.Enforce)
+				target := f.sys.Statics.Alloc(2*mem.PageSize, mem.PageSize) + off
+				var storeErr error
+				m := f.loadModule(t, "m", nil, func(th *core.Thread, args []uint64) uint64 {
+					storeErr = st.store(th, target)
+					return 0
+				})
+				before := f.sys.Mon.Stats.Snapshot()
+				_, _ = f.t.CallModule(m, "run", 0)
+				if !errors.Is(storeErr, core.ErrViolation) {
+					t.Fatalf("store without WRITE: err = %v, want a violation", storeErr)
+				}
+				if v := f.sys.Mon.LastViolation(); v == nil || v.Op != "memwrite" || v.Addr != target {
+					t.Fatalf("violation = %+v, want memwrite at %#x", v, uint64(target))
+				}
+				if d := f.sys.Mon.Stats.Snapshot().Sub(before); d.MemWriteChecks != 1 {
+					t.Fatalf("memwrite checks = %d, want 1", d.MemWriteChecks)
+				}
+				got, _ := f.sys.AS.ReadBytes(target, st.width)
+				if string(got) != string(make([]byte, st.width)) {
+					t.Fatalf("denied store wrote % x", got)
+				}
+			})
+		}
+	}
+}
+
+// TestModuleStoreDoesNotAllocate: a guarded 8-byte store that hits the
+// check cache allocates nothing.
+func TestModuleStoreDoesNotAllocate(t *testing.T) {
+	f := newFixture(t, core.Enforce)
+	var allocs float64
+	m := f.loadModule(t, "m", nil, func(th *core.Thread, args []uint64) uint64 {
+		a := th.CurrentModule().Data + 8
+		allocs = testing.AllocsPerRun(100, func() { _ = th.WriteU64(a, 7) })
+		return 0
+	})
+	if _, err := f.t.CallModule(m, "run", 0); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("Thread.WriteU64: %v allocs per run, want 0", allocs)
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"lxfi/internal/caps"
@@ -207,28 +206,34 @@ func (t *Thread) Write(addr mem.Addr, data []byte) error {
 
 // WriteU64 stores a 64-bit little-endian value.
 func (t *Thread) WriteU64(addr mem.Addr, v uint64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	return t.Write(addr, b[:])
+	if err := t.checkWrite(addr, 8); err != nil {
+		return err
+	}
+	return t.Sys.AS.WriteU64(addr, v)
 }
 
 // WriteU32 stores a 32-bit little-endian value.
 func (t *Thread) WriteU32(addr mem.Addr, v uint32) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	return t.Write(addr, b[:])
+	if err := t.checkWrite(addr, 4); err != nil {
+		return err
+	}
+	return t.Sys.AS.WriteU32(addr, v)
 }
 
 // WriteU16 stores a 16-bit little-endian value.
 func (t *Thread) WriteU16(addr mem.Addr, v uint16) error {
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], v)
-	return t.Write(addr, b[:])
+	if err := t.checkWrite(addr, 2); err != nil {
+		return err
+	}
+	return t.Sys.AS.WriteU16(addr, v)
 }
 
 // WriteU8 stores one byte.
 func (t *Thread) WriteU8(addr mem.Addr, v uint8) error {
-	return t.Write(addr, []byte{v})
+	if err := t.checkWrite(addr, 1); err != nil {
+		return err
+	}
+	return t.Sys.AS.WriteU8(addr, v)
 }
 
 // Zero clears [addr, addr+size) on behalf of the current principal.

@@ -12,6 +12,7 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -64,18 +65,72 @@ func (e *AccessError) Error() string {
 	return fmt.Sprintf("mem: %s fault at %#x (size %d): page not mapped", e.Op, uint64(e.Addr), e.Size)
 }
 
+// Page-table geometry: pages are grouped into chunks of chunkPages
+// consecutive pages, the unit the page-table directory indexes.
+const (
+	chunkShift = 6
+	chunkPages = 1 << chunkShift
+)
+
+// chunk holds the frames of chunkPages consecutive pages; a nil entry
+// is a page that has not been mapped.
+type chunk [chunkPages]atomic.Pointer[[PageSize]byte]
+
+// directory is an immutable index of the populated chunks, sorted by
+// chunk number (page number >> chunkShift). Map publishes a new one
+// whenever it adds a chunk; readers search whichever one they loaded.
+type directory struct {
+	keys   []uint64
+	chunks []*chunk
+}
+
+// chunk returns the chunk numbered cn, or nil. The binary search is
+// written out, not slices.BinarySearch, so that it inlines into every
+// lookup.
+func (d *directory) chunk(cn uint64) *chunk {
+	lo, hi := 0, len(d.keys)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if d.keys[m] < cn {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(d.keys) && d.keys[lo] == cn {
+		return d.chunks[lo]
+	}
+	return nil
+}
+
+// with returns a copy of d with c inserted as chunk number cn.
+func (d *directory) with(cn uint64, c *chunk) *directory {
+	i, _ := slices.BinarySearch(d.keys, cn)
+	// Clipped, the slices have no spare capacity: Insert copies them.
+	return &directory{
+		keys:   slices.Insert(slices.Clip(d.keys), i, cn),
+		chunks: slices.Insert(slices.Clip(d.chunks), i, c),
+	}
+}
+
 // AddressSpace is a sparse, page-granular simulated address space.
 //
-// The page table (the map from page base to backing bytes) is safe for
-// concurrent use: simulated kernel threads now run on their own
-// goroutines, so mapping and access may race. Byte-level access to the
-// *contents* of a page is deliberately not serialized — overlapping
-// unsynchronized writes from two simulated threads are a data race in
-// the simulated kernel exactly as they would be on real hardware, and
-// the race detector will report them as such.
+// The page table only grows: a mapped page stays mapped, at the same
+// frame, for the life of the address space. That lets lookups take no
+// lock and hash nothing: an access loads the published directory,
+// binary-searches it for the page's chunk and loads the frame pointer,
+// all with atomic loads. Map alone is serialized (by mu); it publishes
+// each zeroed frame, and each directory that adds a chunk, with an
+// atomic store, so a reader that sees a frame sees it zeroed. Simulated
+// kernel threads run on their own goroutines, so mapping and access
+// may race.
+// Byte-level access to the *contents* of a page is deliberately not
+// serialized — overlapping unsynchronized writes from two simulated
+// threads are a data race in the simulated kernel exactly as they would
+// be on real hardware, and the race detector will report them as such.
 type AddressSpace struct {
-	mu    sync.RWMutex
-	pages map[Addr][]byte // keyed by page base address
+	mu  sync.Mutex // serializes Map; lookups never take it
+	dir atomic.Pointer[directory]
 
 	// faults counts page faults (accesses to unmapped pages); exploits
 	// and tests use this to observe oopses.
@@ -84,7 +139,9 @@ type AddressSpace struct {
 
 // NewAddressSpace returns an empty address space.
 func NewAddressSpace() *AddressSpace {
-	return &AddressSpace{pages: make(map[Addr][]byte)}
+	as := &AddressSpace{}
+	as.dir.Store(&directory{})
+	return as
 }
 
 // Map ensures that all pages covering [addr, addr+size) are present and
@@ -98,8 +155,15 @@ func (as *AddressSpace) Map(addr Addr, size uint64) {
 	first := PageBase(addr)
 	last := PageBase(addr + Addr(size) - 1)
 	for p := first; ; p += PageSize {
-		if _, ok := as.pages[p]; !ok {
-			as.pages[p] = make([]byte, PageSize)
+		pn := uint64(p) >> PageShift
+		d := as.dir.Load()
+		c := d.chunk(pn >> chunkShift)
+		if c == nil {
+			c = new(chunk)
+			as.dir.Store(d.with(pn>>chunkShift, c))
+		}
+		if slot := &c[pn&(chunkPages-1)]; slot.Load() == nil {
+			slot.Store(new([PageSize]byte))
 		}
 		if p == last {
 			break
@@ -107,41 +171,14 @@ func (as *AddressSpace) Map(addr Addr, size uint64) {
 	}
 }
 
-// Unmap removes all pages fully covered by [addr, addr+size).
-func (as *AddressSpace) Unmap(addr Addr, size uint64) {
-	if size == 0 {
-		return
+// page returns the frame of the page containing a, or nil if that page
+// is not mapped.
+func (as *AddressSpace) page(a Addr) *[PageSize]byte {
+	pn := uint64(a) >> PageShift
+	if c := as.dir.Load().chunk(pn >> chunkShift); c != nil {
+		return c[pn&(chunkPages-1)].Load()
 	}
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	first := PageBase(addr)
-	last := PageBase(addr + Addr(size) - 1)
-	for p := first; ; p += PageSize {
-		delete(as.pages, p)
-		if p == last {
-			break
-		}
-	}
-}
-
-// Mapped reports whether every page covering [addr, addr+size) is mapped.
-func (as *AddressSpace) Mapped(addr Addr, size uint64) bool {
-	if size == 0 {
-		return true
-	}
-	as.mu.RLock()
-	defer as.mu.RUnlock()
-	first := PageBase(addr)
-	last := PageBase(addr + Addr(size) - 1)
-	for p := first; ; p += PageSize {
-		if _, ok := as.pages[p]; !ok {
-			return false
-		}
-		if p == last {
-			break
-		}
-	}
-	return true
+	return nil
 }
 
 // Faults returns the number of page faults taken so far.
@@ -157,20 +194,16 @@ func (as *AddressSpace) Write(addr Addr, data []byte) error {
 	return as.access("write", addr, data, true)
 }
 
+// access copies between buf and [addr, addr+len(buf)) page by page. A
+// fault stops the copy at the first unmapped page, leaving the pages
+// before it copied, and is counted once.
 func (as *AddressSpace) access(op string, addr Addr, buf []byte, write bool) error {
 	n := uint64(len(buf))
-	if n == 0 {
-		return nil
-	}
-	// The read lock pins the page table (no Unmap mid-copy); page
-	// contents are intentionally unserialized, see the type comment.
-	as.mu.RLock()
-	defer as.mu.RUnlock()
 	off := 0
 	a := addr
 	for off < len(buf) {
-		page, ok := as.pages[PageBase(a)]
-		if !ok {
+		page := as.page(a)
+		if page == nil {
 			as.faults.Add(1)
 			return &AccessError{Op: op, Addr: a, Size: n}
 		}
@@ -186,6 +219,20 @@ func (as *AddressSpace) access(op string, addr Addr, buf []byte, write bool) err
 		}
 		off += chunk
 		a += Addr(chunk)
+	}
+	return nil
+}
+
+// span returns the n bytes at addr inside their page's frame when all n
+// lie in one mapped page, or nil; the scalar accessors then load and
+// store in place and leave faults, and page straddles, to access.
+func (as *AddressSpace) span(addr Addr, n int) []byte {
+	po := int(addr & PageMask)
+	if po > PageSize-n {
+		return nil
+	}
+	if p := as.page(addr); p != nil {
+		return p[po : po+n : po+n]
 	}
 	return nil
 }
@@ -217,6 +264,9 @@ func (as *AddressSpace) fill(addr Addr, size uint64, page *[PageSize]byte) error
 
 // ReadU64 reads a little-endian 64-bit value at addr.
 func (as *AddressSpace) ReadU64(addr Addr) (uint64, error) {
+	if b := as.span(addr, 8); b != nil {
+		return binary.LittleEndian.Uint64(b), nil
+	}
 	var b [8]byte
 	if err := as.Read(addr, b[:]); err != nil {
 		return 0, err
@@ -226,6 +276,10 @@ func (as *AddressSpace) ReadU64(addr Addr) (uint64, error) {
 
 // WriteU64 writes a little-endian 64-bit value at addr.
 func (as *AddressSpace) WriteU64(addr Addr, v uint64) error {
+	if b := as.span(addr, 8); b != nil {
+		binary.LittleEndian.PutUint64(b, v)
+		return nil
+	}
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], v)
 	return as.Write(addr, b[:])
@@ -233,6 +287,9 @@ func (as *AddressSpace) WriteU64(addr Addr, v uint64) error {
 
 // ReadU32 reads a little-endian 32-bit value at addr.
 func (as *AddressSpace) ReadU32(addr Addr) (uint32, error) {
+	if b := as.span(addr, 4); b != nil {
+		return binary.LittleEndian.Uint32(b), nil
+	}
 	var b [4]byte
 	if err := as.Read(addr, b[:]); err != nil {
 		return 0, err
@@ -242,6 +299,10 @@ func (as *AddressSpace) ReadU32(addr Addr) (uint32, error) {
 
 // WriteU32 writes a little-endian 32-bit value at addr.
 func (as *AddressSpace) WriteU32(addr Addr, v uint32) error {
+	if b := as.span(addr, 4); b != nil {
+		binary.LittleEndian.PutUint32(b, v)
+		return nil
+	}
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], v)
 	return as.Write(addr, b[:])
@@ -249,6 +310,9 @@ func (as *AddressSpace) WriteU32(addr Addr, v uint32) error {
 
 // ReadU16 reads a little-endian 16-bit value at addr.
 func (as *AddressSpace) ReadU16(addr Addr) (uint16, error) {
+	if b := as.span(addr, 2); b != nil {
+		return binary.LittleEndian.Uint16(b), nil
+	}
 	var b [2]byte
 	if err := as.Read(addr, b[:]); err != nil {
 		return 0, err
@@ -258,6 +322,10 @@ func (as *AddressSpace) ReadU16(addr Addr) (uint16, error) {
 
 // WriteU16 writes a little-endian 16-bit value at addr.
 func (as *AddressSpace) WriteU16(addr Addr, v uint16) error {
+	if b := as.span(addr, 2); b != nil {
+		binary.LittleEndian.PutUint16(b, v)
+		return nil
+	}
 	var b [2]byte
 	binary.LittleEndian.PutUint16(b[:], v)
 	return as.Write(addr, b[:])
@@ -265,6 +333,9 @@ func (as *AddressSpace) WriteU16(addr Addr, v uint16) error {
 
 // ReadU8 reads a byte at addr.
 func (as *AddressSpace) ReadU8(addr Addr) (uint8, error) {
+	if p := as.page(addr); p != nil {
+		return p[addr&PageMask], nil
+	}
 	var b [1]byte
 	if err := as.Read(addr, b[:]); err != nil {
 		return 0, err
@@ -274,6 +345,10 @@ func (as *AddressSpace) ReadU8(addr Addr) (uint8, error) {
 
 // WriteU8 writes a byte at addr.
 func (as *AddressSpace) WriteU8(addr Addr, v uint8) error {
+	if p := as.page(addr); p != nil {
+		p[addr&PageMask] = v
+		return nil
+	}
 	return as.Write(addr, []byte{v})
 }
 

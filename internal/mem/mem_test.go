@@ -45,25 +45,70 @@ func TestCrossPageRW(t *testing.T) {
 	}
 }
 
+// TestUnmappedFault pins fault reporting: each access to an unmapped
+// page returns an AccessError naming the op, the access size and the
+// first unmapped address, and counts exactly one fault.
 func TestUnmappedFault(t *testing.T) {
 	as := NewAddressSpace()
-	err := as.Write(KernelHeap, []byte{1})
 	var ae *AccessError
-	if !errors.As(err, &ae) {
-		t.Fatalf("want AccessError, got %v", err)
+	if err := as.Write(KernelHeap, []byte{1}); !errors.As(err, &ae) || ae.Op != "write" || ae.Addr != KernelHeap || as.Faults() != 1 {
+		t.Fatalf("write to an empty address space: %v, %d faults", err, as.Faults())
 	}
-	if ae.Op != "write" || ae.Addr != KernelHeap {
-		t.Fatalf("bad fault info: %+v", ae)
+	as.Map(KernelHeap, PageSize)
+	as.Map(KernelHeap+2*PageSize, PageSize) // KernelHeap+PageSize is a hole
+	const top Addr = 0xffff_ffff_ffff_f000
+	hole := KernelHeap + PageSize
+	read := func(a Addr, n int) func() error {
+		return func() error { return as.Read(a, make([]byte, n)) }
 	}
-	if as.Faults() != 1 {
-		t.Fatalf("faults = %d, want 1", as.Faults())
+	write := func(a Addr, n int) func() error {
+		return func() error { return as.Write(a, make([]byte, n)) }
 	}
-	// NULL pointer dereference is a fault too (page 0 unmapped).
-	if err := as.Read(0, make([]byte, 8)); err == nil {
-		t.Fatal("NULL read should fault")
+	cases := []struct {
+		name string
+		do   func() error
+		op   string
+		size uint64
+		at   Addr
+	}{
+		{"unpopulated region ReadU64", func() error { _, err := as.ReadU64(UserHeap); return err }, "read", 8, UserHeap},
+		{"unpopulated region WriteU64", func() error { return as.WriteU64(ModuleText+16, 1) }, "write", 8, ModuleText + 16},
+		{"hole ReadU64", func() error { _, err := as.ReadU64(hole + 8); return err }, "read", 8, hole + 8},
+		{"hole WriteU32", func() error { return as.WriteU32(hole+4, 1) }, "write", 4, hole + 4},
+		{"hole ReadU16", func() error { _, err := as.ReadU16(hole); return err }, "read", 2, hole},
+		{"hole WriteU8", func() error { return as.WriteU8(hole+PageMask, 1) }, "write", 1, hole + PageMask},
+		{"hole Read", read(hole+100, 32), "read", 32, hole + 100},
+		{"NULL ReadU64", func() error { _, err := as.ReadU64(0); return err }, "read", 8, 0},
+		{"NULL ReadU8", func() error { _, err := as.ReadU8(0); return err }, "read", 1, 0},
+		{"NULL Write", write(0, 8), "write", 8, 0},
+		{"top page ReadU64", func() error { _, err := as.ReadU64(top); return err }, "read", 8, top},
+		{"top page WriteU64", func() error { return as.WriteU64(top+PageMask-7, 1) }, "write", 8, top + PageMask - 7},
+		{"ReadU64 straddling into a hole", func() error { _, err := as.ReadU64(hole - 4); return err }, "read", 8, hole},
+		{"WriteU64 straddling into a hole", func() error { return as.WriteU64(hole-4, 1) }, "write", 8, hole},
+		{"WriteU64 straddling past the last page", func() error { return as.WriteU64(hole+2*PageSize-3, 1) }, "write", 8, hole + 2*PageSize},
+		{"ReadU32 straddling into a hole", func() error { _, err := as.ReadU32(hole - 1); return err }, "read", 4, hole},
+		{"WriteU16 straddling into a hole", func() error { return as.WriteU16(hole-1, 1) }, "write", 2, hole},
+		{"Write straddling into a hole", write(hole-10, 20), "write", 20, hole},
+	}
+	for _, c := range cases {
+		before := as.Faults()
+		err := c.do()
+		if !errors.As(err, &ae) {
+			t.Errorf("%s: err = %v, want *AccessError", c.name, err)
+			continue
+		}
+		if ae.Op != c.op || ae.Addr != c.at || ae.Size != c.size {
+			t.Errorf("%s: fault {%s %#x size %d}, want {%s %#x size %d}",
+				c.name, ae.Op, uint64(ae.Addr), ae.Size, c.op, uint64(c.at), c.size)
+		}
+		if n := as.Faults() - before; n != 1 {
+			t.Errorf("%s: %d faults counted, want 1", c.name, n)
+		}
 	}
 }
 
+// TestPartialFaultMidWrite: a store that straddles into an unmapped
+// page faults, having already stored the bytes that fit the mapped one.
 func TestPartialFaultMidWrite(t *testing.T) {
 	as := NewAddressSpace()
 	as.Map(KernelHeap, PageSize) // only first page
@@ -71,6 +116,13 @@ func TestPartialFaultMidWrite(t *testing.T) {
 	addr := KernelHeap + PageSize - 50
 	if err := as.Write(addr, data); err == nil {
 		t.Fatal("write crossing into unmapped page should fault")
+	}
+	end := KernelHeap + PageSize
+	if err := as.WriteU64(end-4, 0x1122334455667788); err == nil {
+		t.Fatal("straddling WriteU64 did not fault")
+	}
+	if v, err := as.ReadU32(end - 4); err != nil || v != 0x55667788 {
+		t.Fatalf("mapped half = %#x, %v; want 0x55667788", v, err)
 	}
 }
 

@@ -59,7 +59,7 @@ type Nic struct {
 	IRQs uint64
 
 	mu      sync.Mutex
-	rxq     [][]byte
+	rxq     frameRing
 	batchRx bool
 
 	// txMu is the TX queue lock: it orders every pair of descriptor
@@ -75,7 +75,7 @@ type Nic struct {
 // InjectRx queues a frame for reception.
 func (n *Nic) InjectRx(frame []byte) {
 	n.mu.Lock()
-	n.rxq = append(n.rxq, append([]byte(nil), frame...))
+	n.rxq.pushBack(append([]byte(nil), frame...))
 	n.mu.Unlock()
 }
 
@@ -83,7 +83,7 @@ func (n *Nic) InjectRx(frame []byte) {
 func (n *Nic) RxPending() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return len(n.rxq)
+	return n.rxq.n
 }
 
 // SetBatchRx selects the poll delivery path: per-packet
@@ -100,26 +100,71 @@ func (n *Nic) SetBatchRx(on bool) {
 func (n *Nic) takeRx(max int) [][]byte {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if max > len(n.rxq) {
-		max = len(n.rxq)
+	if max > n.rxq.n {
+		max = n.rxq.n
 	}
 	if max <= 0 {
 		return nil
 	}
-	out := n.rxq[:max:max]
-	n.rxq = append([][]byte(nil), n.rxq[max:]...)
+	out := make([][]byte, max)
+	for i := range out {
+		out[i] = n.rxq.popFront()
+	}
 	return out
 }
 
-// requeueFront puts frames back at the head of the RX queue (partial
-// batch allocation failure).
+// requeueFront puts frames back at the head of the RX queue, in order
+// (partial batch allocation failure).
 func (n *Nic) requeueFront(frames [][]byte) {
-	if len(frames) == 0 {
-		return
-	}
 	n.mu.Lock()
-	n.rxq = append(append([][]byte(nil), frames...), n.rxq...)
+	for i := len(frames) - 1; i >= 0; i-- {
+		n.rxq.pushFront(frames[i])
+	}
 	n.mu.Unlock()
+}
+
+// frameRing is a FIFO of frames that also takes frames back at its
+// head: a growable ring buffer, so every push and pop is O(1)
+// amortized however long the queue gets.
+type frameRing struct {
+	buf  [][]byte // len(buf) is zero or a power of two
+	head int      // index of the oldest frame
+	n    int      // frames queued
+}
+
+// grow doubles the ring (to 16 slots at first), unwrapping it.
+func (r *frameRing) grow() {
+	buf := make([][]byte, max(16, 2*len(r.buf)))
+	for i := 0; i < r.n; i++ {
+		buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+	}
+	r.buf, r.head = buf, 0
+}
+
+func (r *frameRing) pushBack(f []byte) {
+	if r.n == len(r.buf) {
+		r.grow()
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = f
+	r.n++
+}
+
+func (r *frameRing) pushFront(f []byte) {
+	if r.n == len(r.buf) {
+		r.grow()
+	}
+	r.head = (r.head - 1) & (len(r.buf) - 1)
+	r.buf[r.head] = f
+	r.n++
+}
+
+// popFront removes and returns the oldest frame; the ring is non-empty.
+func (r *frameRing) popFront() []byte {
+	f := r.buf[r.head]
+	r.buf[r.head] = nil
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return f
 }
 
 // deviceNic returns the NIC of the bus's 82540EM, creating it on the

@@ -917,8 +917,9 @@ func (fs *FS) createFn(t *core.Thread, args []uint64) uint64 {
 	if mode == vfs.ModeDir {
 		nlink = 2
 	}
-	nameBytes, err := t.ReadBytes(name, nlen)
-	if err != nil ||
+	var nameBuf [vfs.NameMax]byte
+	nameBytes := nameBuf[:nlen]
+	if t.Read(name, nameBytes) != nil ||
 		t.WriteU64(fs.V.InodeField(mem.Addr(ino), "mode"), mode) != nil ||
 		t.WriteU64(fs.V.InodeField(mem.Addr(ino), "nlink"), nlink) != nil ||
 		t.WriteU64(fs.V.InodeField(mem.Addr(ino), "private"), slot) != nil {
@@ -953,7 +954,8 @@ func (fs *FS) findEntry(t *core.Thread, sb mem.Addr, dir uint64, name []byte, in
 		d, _ := t.ReadU64(fs.deField(mem.Addr(cur), "dir"))
 		if d == dir || dir == 0 {
 			if name != nil {
-				got, err := t.ReadBytes(fs.deField(mem.Addr(cur), "name"), uint64(len(name)+1))
+				var got [vfs.NameMax + 1]byte
+				err := t.Read(fs.deField(mem.Addr(cur), "name"), got[:len(name)+1])
 				if err == nil && bytes.Equal(got[:len(name)], name) && got[len(name)] == 0 {
 					return mem.Addr(cur), prev
 				}
@@ -975,11 +977,11 @@ func (fs *FS) lookup(t *core.Thread, args []uint64) uint64 {
 	if nlen > vfs.NameMax {
 		return 0
 	}
-	nameBytes, err := t.ReadBytes(name, nlen)
-	if err != nil {
+	var nameBuf [vfs.NameMax]byte
+	if t.Read(name, nameBuf[:nlen]) != nil {
 		return 0
 	}
-	de, _ := fs.findEntry(t, sb, dir, nameBytes, 0)
+	de, _ := fs.findEntry(t, sb, dir, nameBuf[:nlen], 0)
 	if de == 0 {
 		return 0
 	}
@@ -998,8 +1000,8 @@ func (fs *FS) readdir(t *core.Thread, args []uint64) uint64 {
 		d, _ := t.ReadU64(fs.deField(mem.Addr(cur), "dir"))
 		if d == dir {
 			if seen == pos {
-				name, err := t.ReadBytes(fs.deField(mem.Addr(cur), "name"), vfs.NameMax+1)
-				if err != nil || t.Write(buf, name) != nil {
+				var name [vfs.NameMax + 1]byte
+				if t.Read(fs.deField(mem.Addr(cur), "name"), name[:]) != nil || t.Write(buf, name[:]) != nil {
 					return 0
 				}
 				ino, _ := t.ReadU64(fs.deField(mem.Addr(cur), "inode"))
@@ -1027,16 +1029,18 @@ func (fs *FS) rename(t *core.Thread, args []uint64) uint64 {
 	if de == 0 {
 		return kernel.Err(kernel.ENOENT)
 	}
-	nameBytes, err := t.ReadBytes(name, nlen)
-	if err != nil {
+	var entName [vfs.NameMax + 1]byte // the name and its NUL
+	nameBytes := entName[:nlen]
+	if t.Read(name, nameBytes) != nil {
 		return kernel.Err(kernel.EFAULT)
 	}
 	slot, _ := t.ReadU64(fs.deField(de, "slot"))
 	target, _ := t.ReadU64(fs.V.InodeField(mem.Addr(inode), "private"))
 	mode, _ := t.ReadU64(fs.V.InodeField(mem.Addr(inode), "mode"))
 	size, _ := t.ReadU64(fs.V.InodeField(mem.Addr(inode), "size"))
-	txn := []jrec{{slot: slot, used: 1, parent: fs.parentSlot(t, priv, newdir),
+	txn := [2]jrec{{slot: slot, used: 1, parent: fs.parentSlot(t, priv, newdir),
 		mode: mode, size: size, target: target, name: nameBytes}}
+	nrec := 1
 	var vde, vprev mem.Addr
 	if victim != 0 {
 		vde, vprev = fs.findEntry(t, sb, newdir, nil, victim)
@@ -1044,14 +1048,14 @@ func (fs *FS) rename(t *core.Thread, args []uint64) uint64 {
 			return kernel.Err(kernel.ENOENT)
 		}
 		vslot, _ := t.ReadU64(fs.deField(vde, "slot"))
-		txn = append(txn, jrec{slot: vslot, used: 0})
+		txn[1], nrec = jrec{slot: vslot, used: 0}, 2
 	}
-	if !fs.commitTxn(t, sb, priv, txn) {
+	if !fs.commitTxn(t, sb, priv, txn[:nrec]) {
 		return kernel.Err(kernel.EIO)
 	}
 	if t.WriteU64(fs.deField(de, "dir"), newdir) != nil ||
 		t.WriteU64(fs.deField(de, "recsize"), size) != nil ||
-		t.Write(fs.deField(de, "name"), append(nameBytes, 0)) != nil {
+		t.Write(fs.deField(de, "name"), entName[:nlen+1]) != nil {
 		return kernel.Err(kernel.EFAULT)
 	}
 	if victim != 0 {
@@ -1071,11 +1075,13 @@ func (fs *FS) exchange(t *core.Thread, args []uint64) uint64 {
 	if dea == 0 || deb == 0 {
 		return kernel.Err(kernel.ENOENT)
 	}
-	namea, erra := t.ReadBytes(fs.deField(dea, "name"), vfs.NameMax+1)
-	nameb, errb := t.ReadBytes(fs.deField(deb, "name"), vfs.NameMax+1)
-	if erra != nil || errb != nil {
+	// The entries' name fields, each NUL-terminated within NameMax+1
+	// bytes; namea and nameb are the names without the NUL.
+	var enta, entb [vfs.NameMax + 1]byte
+	if t.Read(fs.deField(dea, "name"), enta[:]) != nil || t.Read(fs.deField(deb, "name"), entb[:]) != nil {
 		return kernel.Err(kernel.EFAULT)
 	}
+	namea, nameb := enta[:], entb[:]
 	if i := bytes.IndexByte(namea, 0); i >= 0 {
 		namea = namea[:i]
 	}
@@ -1101,10 +1107,10 @@ func (fs *FS) exchange(t *core.Thread, args []uint64) uint64 {
 	}
 	if t.WriteU64(fs.deField(dea, "dir"), dirb) != nil ||
 		t.WriteU64(fs.deField(dea, "recsize"), sza) != nil ||
-		t.Write(fs.deField(dea, "name"), append(append([]byte{}, nameb...), 0)) != nil ||
+		t.Write(fs.deField(dea, "name"), entb[:len(nameb)+1]) != nil ||
 		t.WriteU64(fs.deField(deb, "dir"), dira) != nil ||
 		t.WriteU64(fs.deField(deb, "recsize"), szb) != nil ||
-		t.Write(fs.deField(deb, "name"), append(append([]byte{}, namea...), 0)) != nil {
+		t.Write(fs.deField(deb, "name"), enta[:len(namea)+1]) != nil {
 		return kernel.Err(kernel.EFAULT)
 	}
 	return 0
@@ -1124,8 +1130,9 @@ func (fs *FS) link(t *core.Thread, args []uint64) uint64 {
 	if slot >= MaxSlots {
 		return kernel.Err(kernel.ENOSPC)
 	}
-	nameBytes, err := t.ReadBytes(name, nlen)
-	if err != nil {
+	var nameBuf [vfs.NameMax]byte
+	nameBytes := nameBuf[:nlen]
+	if t.Read(name, nameBytes) != nil {
 		fs.freeSlot(t, priv, slot)
 		return kernel.Err(kernel.EFAULT)
 	}
@@ -1287,10 +1294,11 @@ func (fs *FS) writepage(t *core.Thread, args []uint64) uint64 {
 			continue
 		}
 		dir, _ := t.ReadU64(fs.deField(de, "dir"))
-		name, err := t.ReadBytes(fs.deField(de, "name"), vfs.NameMax+1)
-		if err != nil {
+		var ent [vfs.NameMax + 1]byte
+		if t.Read(fs.deField(de, "name"), ent[:]) != nil {
 			continue
 		}
+		name := ent[:]
 		if i := bytes.IndexByte(name, 0); i >= 0 {
 			name = name[:i]
 		}

@@ -239,12 +239,12 @@ func (fs *FS) createFn(t *core.Thread, args []uint64) uint64 {
 	}
 	priv := fs.priv(t, sb)
 	head, _ := t.ReadU64(fs.pvField(priv, "head"))
-	nameBytes, err := t.ReadBytes(name, nlen)
-	if err != nil ||
+	var entName [vfs.NameMax + 1]byte // the name and its NUL
+	if t.Read(name, entName[:nlen]) != nil ||
 		t.WriteU64(fs.deField(mem.Addr(de), "next"), head) != nil ||
 		t.WriteU64(fs.deField(mem.Addr(de), "dir"), dir) != nil ||
 		t.WriteU64(fs.deField(mem.Addr(de), "inode"), ino) != nil ||
-		t.Write(fs.deField(mem.Addr(de), "name"), append(nameBytes, 0)) != nil ||
+		t.Write(fs.deField(mem.Addr(de), "name"), entName[:nlen+1]) != nil ||
 		t.WriteU64(fs.pvField(priv, "head"), de) != nil {
 		_, _ = fs.gKfree.Call(t, de)
 		_, _ = fs.gIput.Call(t, ino)
@@ -262,7 +262,8 @@ func (fs *FS) findEntry(t *core.Thread, sb mem.Addr, dir uint64, name []byte, in
 		d, _ := t.ReadU64(fs.deField(mem.Addr(cur), "dir"))
 		if d == dir {
 			if name != nil {
-				got, err := t.ReadBytes(fs.deField(mem.Addr(cur), "name"), uint64(len(name)+1))
+				var got [vfs.NameMax + 1]byte
+				err := t.Read(fs.deField(mem.Addr(cur), "name"), got[:len(name)+1])
 				if err == nil && bytes.Equal(got[:len(name)], name) && got[len(name)] == 0 {
 					return mem.Addr(cur), prev
 				}
@@ -284,11 +285,11 @@ func (fs *FS) lookup(t *core.Thread, args []uint64) uint64 {
 	if nlen > vfs.NameMax {
 		return 0
 	}
-	nameBytes, err := t.ReadBytes(name, nlen)
-	if err != nil {
+	var nameBuf [vfs.NameMax]byte
+	if t.Read(name, nameBuf[:nlen]) != nil {
 		return 0
 	}
-	de, _ := fs.findEntry(t, sb, dir, nameBytes, 0)
+	de, _ := fs.findEntry(t, sb, dir, nameBuf[:nlen], 0)
 	if de == 0 {
 		return 0
 	}
@@ -308,8 +309,8 @@ func (fs *FS) readdir(t *core.Thread, args []uint64) uint64 {
 		d, _ := t.ReadU64(fs.deField(mem.Addr(cur), "dir"))
 		if d == dir {
 			if seen == pos {
-				name, err := t.ReadBytes(fs.deField(mem.Addr(cur), "name"), vfs.NameMax+1)
-				if err != nil || t.Write(buf, name) != nil {
+				var name [vfs.NameMax + 1]byte
+				if t.Read(fs.deField(mem.Addr(cur), "name"), name[:]) != nil || t.Write(buf, name[:]) != nil {
 					return 0
 				}
 				ino, _ := t.ReadU64(fs.deField(mem.Addr(cur), "inode"))
@@ -341,10 +342,10 @@ func (fs *FS) rename(t *core.Thread, args []uint64) uint64 {
 			return ret
 		}
 	}
-	nameBytes, err := t.ReadBytes(name, nlen)
-	if err != nil ||
+	var entName [vfs.NameMax + 1]byte // the name and its NUL
+	if t.Read(name, entName[:nlen]) != nil ||
 		t.WriteU64(fs.deField(de, "dir"), newdir) != nil ||
-		t.Write(fs.deField(de, "name"), append(nameBytes, 0)) != nil {
+		t.Write(fs.deField(de, "name"), entName[:nlen+1]) != nil {
 		return kernel.Err(kernel.EFAULT)
 	}
 	return 0
@@ -359,13 +360,13 @@ func (fs *FS) exchange(t *core.Thread, args []uint64) uint64 {
 	if dea == 0 || deb == 0 {
 		return kernel.Err(kernel.ENOENT)
 	}
-	namea, erra := t.ReadBytes(fs.deField(dea, "name"), vfs.NameMax+1)
-	nameb, errb := t.ReadBytes(fs.deField(deb, "name"), vfs.NameMax+1)
-	if erra != nil || errb != nil ||
+	var namea, nameb [vfs.NameMax + 1]byte
+	if t.Read(fs.deField(dea, "name"), namea[:]) != nil ||
+		t.Read(fs.deField(deb, "name"), nameb[:]) != nil ||
 		t.WriteU64(fs.deField(dea, "dir"), dirb) != nil ||
-		t.Write(fs.deField(dea, "name"), nameb) != nil ||
+		t.Write(fs.deField(dea, "name"), nameb[:]) != nil ||
 		t.WriteU64(fs.deField(deb, "dir"), dira) != nil ||
-		t.Write(fs.deField(deb, "name"), namea) != nil {
+		t.Write(fs.deField(deb, "name"), namea[:]) != nil {
 		return kernel.Err(kernel.EFAULT)
 	}
 	return 0
@@ -379,8 +380,8 @@ func (fs *FS) link(t *core.Thread, args []uint64) uint64 {
 	if nlen > vfs.NameMax {
 		return kernel.Err(kernel.EINVAL)
 	}
-	nameBytes, err := t.ReadBytes(name, nlen)
-	if err != nil {
+	var entName [vfs.NameMax + 1]byte // the name and its NUL
+	if t.Read(name, entName[:nlen]) != nil {
 		return kernel.Err(kernel.EFAULT)
 	}
 	de, err := fs.gKmalloc.Call(t, fs.deLay.Size)
@@ -393,7 +394,7 @@ func (fs *FS) link(t *core.Thread, args []uint64) uint64 {
 	if t.WriteU64(fs.deField(mem.Addr(de), "next"), head) != nil ||
 		t.WriteU64(fs.deField(mem.Addr(de), "dir"), dir) != nil ||
 		t.WriteU64(fs.deField(mem.Addr(de), "inode"), inode) != nil ||
-		t.Write(fs.deField(mem.Addr(de), "name"), append(nameBytes, 0)) != nil ||
+		t.Write(fs.deField(mem.Addr(de), "name"), entName[:nlen+1]) != nil ||
 		t.WriteU64(fs.pvField(priv, "head"), de) != nil ||
 		t.WriteU64(fs.V.InodeField(mem.Addr(inode), "nlink"), nlink+1) != nil {
 		_, _ = fs.gKfree.Call(t, de)

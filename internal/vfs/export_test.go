@@ -15,7 +15,7 @@ func (v *VFS) LRUOrder() []PageID {
 	defer v.pageMu.Unlock()
 	out := make([]PageID, 0, v.lru.Len())
 	for e := v.lru.Front(); e != nil; e = e.Next() {
-		key := e.Value.(pageKey)
+		key := e.Value.(lruEntry).key
 		out = append(out, PageID{key.ino, key.idx})
 	}
 	return out
@@ -27,4 +27,17 @@ func (v *VFS) HoldMount(sb mem.Addr) (release func()) {
 	mnt := v.mountOf(sb)
 	mnt.mu.Lock()
 	return mnt.mu.Unlock
+}
+
+// ForgetDentries drops every cached dentry of the mount below its root,
+// so the next resolution of each name crosses into the module's lookup.
+func (v *VFS) ForgetDentries(sb mem.Addr) {
+	mnt := v.mountOf(sb)
+	mnt.mu.Lock()
+	defer mnt.mu.Unlock()
+	for d := range mnt.dentries {
+		if d != mnt.root {
+			v.dropDentry(mnt, d)
+		}
+	}
 }

@@ -15,6 +15,15 @@ type pageKey struct {
 	idx uint64
 }
 
+// lruEntry is one evictable page on the LRU list: its key and the
+// mount that cached it, which is the mount eviction must lock. Inode
+// memory is never consulted for that: another thread may be freeing
+// the inode under its own mount's lock.
+type lruEntry struct {
+	key pageKey
+	mnt *mount
+}
+
 // SetPageBudget caps the number of cached pages (0 = unlimited).
 // Inserting a page past the budget evicts least-recently-used pages;
 // a dirty victim is first written back through the owning module's
@@ -54,7 +63,7 @@ func (v *VFS) insertPage(t *core.Thread, holder *mount, key pageKey, pg mem.Addr
 	v.pageMu.Lock()
 	v.pages[key] = pg
 	if !holder.memOnly {
-		v.lruPos[key] = v.lru.PushBack(key)
+		v.lruPos[key] = v.lru.PushBack(lruEntry{key, holder})
 	}
 	v.pageMu.Unlock()
 	v.evictForBudget(t, holder, &key)
@@ -82,12 +91,11 @@ func (v *VFS) removePageLocked(key pageKey) {
 // is still using: it is never a victim, even when another thread's
 // insert has since pushed it off the LRU tail. Memory-only pages are
 // not on the LRU at all. A victim that refuses eviction (writeback
-// failed, its mount is busy on another thread, or its mount turned
-// memory-only after mounting) rotates to the MRU end, and a pass gives
-// up after as many attempts as the LRU held at its start — so the
-// cache can exceed the budget when nothing evictable remains. holder
-// is the mount whose lock the calling thread already holds (nil when
-// none).
+// failed, or its mount is busy on another thread or unmounted) rotates
+// to the MRU end, and a pass gives up after as many attempts as the
+// LRU held at its start — so the cache can exceed the budget when
+// nothing evictable remains. holder is the mount whose lock the
+// calling thread already holds (nil when none).
 func (v *VFS) evictForBudget(t *core.Thread, holder *mount, keep *pageKey) {
 	attempts := -1 // set from the LRU length once the cache is over budget
 	for {
@@ -100,7 +108,7 @@ func (v *VFS) evictForBudget(t *core.Thread, holder *mount, keep *pageKey) {
 			attempts = v.lru.Len()
 		}
 		e := v.lru.Front()
-		if e != nil && keep != nil && e.Value.(pageKey) == *keep {
+		if e != nil && keep != nil && e.Value.(lruEntry).key == *keep {
 			e = e.Next()
 		}
 		if e == nil || attempts == 0 {
@@ -108,11 +116,11 @@ func (v *VFS) evictForBudget(t *core.Thread, holder *mount, keep *pageKey) {
 			return // nothing evictable remains this pass
 		}
 		attempts--
-		victim := e.Value.(pageKey)
+		victim := e.Value.(lruEntry)
 		v.pageMu.Unlock()
-		if !v.evictPage(t, holder, victim) {
+		if !v.evictPage(t, holder, victim.mnt, victim.key) {
 			v.pageMu.Lock()
-			v.touchPage(victim)
+			v.touchPage(victim.key)
 			v.pageMu.Unlock()
 		}
 	}
@@ -121,20 +129,10 @@ func (v *VFS) evictForBudget(t *core.Thread, holder *mount, keep *pageKey) {
 // evictPage tries to reclaim one page: dirty victims are forced through
 // the owning module's writepage first (the REF-capability crossing), so
 // eviction under enforcement exercises the same contract as Sync.
-// Returns false if the page must stay (memory-only mount, dead module,
-// failed writeback, or the owning mount is busy on another thread).
+// Returns false if the page must stay (dead module, failed writeback,
+// or the owning mount mnt is busy on another thread or unmounted).
 // Caller holds holder.mu (when holder != nil) and not pageMu.
-func (v *VFS) evictPage(t *core.Thread, holder *mount, key pageKey) bool {
-	as := v.K.Sys.AS
-	owner, _ := as.ReadU64(v.InodeField(key.ino, "sb"))
-	sb := mem.Addr(owner)
-	if flags, _ := as.ReadU64(v.SBField(sb, "flags")); flags&SBMemOnly != 0 {
-		return false
-	}
-	mnt := v.mountOf(sb)
-	if mnt == nil {
-		return false
-	}
+func (v *VFS) evictPage(t *core.Thread, holder, mnt *mount, key pageKey) bool {
 	// Evicting another mount's page needs that mount's lock. TryLock
 	// keeps the lock order acyclic: a thread never *blocks* on a second
 	// mount lock, so two mounts evicting each other's pages cannot
@@ -144,6 +142,9 @@ func (v *VFS) evictPage(t *core.Thread, holder *mount, key pageKey) bool {
 			return false
 		}
 		defer mnt.mu.Unlock()
+	}
+	if mnt.dead {
+		return false
 	}
 	v.pageMu.Lock()
 	pg, cached := v.pages[key]

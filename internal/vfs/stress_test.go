@@ -3,6 +3,7 @@ package vfs_test
 import (
 	"bytes"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -299,6 +300,91 @@ func TestEvictionNeverFreesTheInsertersPage(t *testing.T) {
 		if err != nil {
 			t.Fatalf("thread %d: %v", i, err)
 		}
+	}
+	r.noViolations(t)
+}
+
+// TestEvictConcurrentUnlinkOnVictimMount: one thread creates, writes
+// and unlinks files on a minixsim mount — each unlink frees and poisons
+// the inode — while a second thread's cold reads on another minixsim
+// mount insert pages that evict the first mount's. Eviction must find
+// the victim's mount without reading the inode being freed, which the
+// race detector checks.
+func TestEvictConcurrentUnlinkOnVictimMount(t *testing.T) {
+	r := newRig(t, core.Enforce)
+	defer r.k.Shutdown()
+	if _, err := minixsim.Load(r.th, r.k, r.v); err != nil {
+		t.Fatal(err)
+	}
+	var sbs []mem.Addr
+	for dev := uint64(1); dev <= 2; dev++ {
+		r.bl.AddDisk(dev, minixsim.DiskSectors)
+		sb, err := r.v.Mount(r.th, minixsim.FsID, dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sbs = append(sbs, sb)
+	}
+	victims, readers := sbs[0], sbs[1]
+	const files = 4
+	for f := 0; f < files; f++ {
+		p := fmt.Sprintf("/r%d", f)
+		if _, err := r.v.Create(r.th, readers, p); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.v.Write(r.th, readers, p, 0, bytes.Repeat([]byte{byte(f + 1)}, mem.PageSize)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.v.Sync(r.th, readers); err != nil {
+		t.Fatal(err)
+	}
+	r.v.DropCaches(readers)
+	r.v.SetPageBudget(2)
+	defer r.v.SetPageBudget(0)
+
+	var done atomic.Bool
+	var unlinkErr, readErr error
+	reading := make(chan struct{}, 1)
+	unlinker := r.k.Sys.Spawn("unlink", func(th *core.Thread) {
+		defer done.Store(true)
+		<-reading
+		for n := 0; n < 150; n++ {
+			p := fmt.Sprintf("/u%d", n%files)
+			if _, err := r.v.Create(th, victims, p); err != nil {
+				unlinkErr = fmt.Errorf("create %s: %w", p, err)
+				return
+			}
+			if _, err := r.v.Write(th, victims, p, 0, []byte("victim page")); err != nil {
+				unlinkErr = fmt.Errorf("write %s: %w", p, err)
+				return
+			}
+			if err := r.v.Unlink(th, victims, p); err != nil {
+				unlinkErr = fmt.Errorf("unlink %s: %w", p, err)
+				return
+			}
+		}
+	})
+	reader := r.k.Sys.Spawn("evict", func(th *core.Thread) {
+		defer close(reading)
+		for n := 0; n < 2*files || !done.Load(); n++ {
+			p := fmt.Sprintf("/r%d", n%files)
+			if got, err := r.v.Read(th, readers, p, 0, 1); err != nil || got[0] != byte(n%files+1) {
+				readErr = fmt.Errorf("read %s: %v %v", p, got, err)
+				return
+			}
+			if n == files {
+				reading <- struct{}{} // the budget is full: every read now evicts
+			}
+		}
+	})
+	unlinker.Join()
+	reader.Join()
+	if unlinkErr != nil || readErr != nil {
+		t.Fatalf("unlinker: %v; reader: %v", unlinkErr, readErr)
+	}
+	if r.v.Stats.Evictions.Load() == 0 {
+		t.Fatal("the reader's inserts never evicted")
 	}
 	r.noViolations(t)
 }
