@@ -15,8 +15,8 @@ func (v *VFS) LRUOrder() []PageID {
 	defer v.pageMu.Unlock()
 	out := make([]PageID, 0, v.lru.Len())
 	for e := v.lru.Front(); e != nil; e = e.Next() {
-		key := e.Value.(lruEntry).key
-		out = append(out, PageID{key.ino, key.idx})
+		p := e.Value.(*cachedPage)
+		out = append(out, PageID{p.ino, p.idx})
 	}
 	return out
 }

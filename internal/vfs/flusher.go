@@ -81,10 +81,10 @@ func (v *VFS) FlushInterval() time.Duration {
 // cache population otherwise.
 func (v *VFS) dirtyFraction() float64 {
 	v.pageMu.Lock()
-	dirty := len(v.dirty)
+	dirty := v.nDirty
 	total := v.pageBudget
 	if total <= 0 {
-		total = len(v.pages)
+		total = v.nPages
 	}
 	v.pageMu.Unlock()
 	if total <= 0 || dirty == 0 {
@@ -154,26 +154,19 @@ func (v *VFS) flusherLoop(t *core.Thread, stop <-chan struct{}) {
 //
 // The flusher takes each mount's lock in turn — it is an ordinary
 // foreground-equivalent writer, so module writepage contracts see the
-// usual one-operation-per-mount serialization.
+// usual one-operation-per-mount serialization. A mount unmounted since
+// the snapshot has no pages left, so it has nothing to flush.
 func (v *VFS) FlushAged(t *core.Thread) {
 	tick := v.flushTick.Add(1)
 	for _, mnt := range v.mountList() {
 		mnt.mu.Lock()
-		if mnt.dead {
-			mnt.mu.Unlock()
-			continue
-		}
-		keys := v.dirtyKeysOf(mnt.sb, true, tick)
-		if len(keys) > 0 {
-			v.Stats.FlushWrites.Add(uint64(len(keys)))
+		if pages := v.dirtyPagesOf(mnt, tick); len(pages) > 0 {
+			v.Stats.FlushWrites.Add(uint64(len(pages)))
 			// Errors stay dirty and will be retried next pass; a module
 			// killed for a writeback violation surfaces through the
 			// monitor's violation log, not through the flusher.
-			_ = v.syncLocked(t, mnt, keys)
+			_ = v.syncLocked(t, pages)
 		}
 		mnt.mu.Unlock()
 	}
 }
-
-// FlushTick returns the current aging tick (diagnostics and tests).
-func (v *VFS) FlushTick() uint64 { return v.flushTick.Load() }

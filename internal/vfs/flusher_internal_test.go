@@ -3,8 +3,6 @@ package vfs
 import (
 	"testing"
 	"time"
-
-	"lxfi/internal/mem"
 )
 
 // White-box test of the adaptive flusher policy: under dirty pressure
@@ -12,11 +10,7 @@ import (
 // runs clean it doubles back to the base. A zero threshold pins the
 // fixed tick.
 func TestFlusherAdaptiveInterval(t *testing.T) {
-	v := &VFS{
-		pages:     make(map[pageKey]mem.Addr),
-		dirty:     make(map[pageKey]bool),
-		flushKick: make(chan struct{}, 1),
-	}
+	v := &VFS{flushKick: make(chan struct{}, 1)}
 	const base = 8 * time.Millisecond
 	v.EnableWriteback(base, 0.25)
 	if got := v.FlushInterval(); got != base {
@@ -25,11 +19,7 @@ func TestFlusherAdaptiveInterval(t *testing.T) {
 
 	// Pressure: 6 of 10 budgeted pages dirty (0.6 > 0.25).
 	v.pageBudget = 10
-	for i := 0; i < 6; i++ {
-		key := pageKey{ino: mem.Addr(0x1000 + i), idx: 0}
-		v.pages[key] = mem.Addr(0x100000 + i*mem.PageSize)
-		v.dirty[key] = true
-	}
+	v.nPages, v.nDirty = 6, 6
 	want := base
 	for i := 0; i < 10; i++ {
 		v.adaptInterval()
@@ -45,7 +35,7 @@ func TestFlusherAdaptiveInterval(t *testing.T) {
 	}
 
 	// Clean again: the tick backs off to the base and stays there.
-	v.dirty = make(map[pageKey]bool)
+	v.nDirty = 0
 	for i := 0; i < 10; i++ {
 		v.adaptInterval()
 	}
@@ -55,10 +45,7 @@ func TestFlusherAdaptiveInterval(t *testing.T) {
 
 	// Threshold 0 disables adaptation even under full dirt.
 	v.EnableWriteback(base, 0)
-	for i := 0; i < 6; i++ {
-		key := pageKey{ino: mem.Addr(0x1000 + i), idx: 0}
-		v.dirty[key] = true
-	}
+	v.nDirty = 6
 	v.adaptInterval()
 	if got := v.FlushInterval(); got != base {
 		t.Fatalf("fixed tick moved: %v, want %v", got, base)
@@ -68,17 +55,7 @@ func TestFlusherAdaptiveInterval(t *testing.T) {
 // dirtyFraction steers on the budget when one is set and the cache
 // population otherwise.
 func TestDirtyFractionDenominator(t *testing.T) {
-	v := &VFS{
-		pages: make(map[pageKey]mem.Addr),
-		dirty: make(map[pageKey]bool),
-	}
-	for i := 0; i < 4; i++ {
-		key := pageKey{ino: mem.Addr(i), idx: 0}
-		v.pages[key] = mem.Addr(0x1000 * (i + 1))
-		if i < 2 {
-			v.dirty[key] = true
-		}
-	}
+	v := &VFS{nPages: 4, nDirty: 2}
 	if got := v.dirtyFraction(); got != 0.5 {
 		t.Fatalf("unbudgeted fraction = %v, want 0.5", got)
 	}

@@ -1,8 +1,11 @@
 package vfs
 
 import (
+	"cmp"
+	"container/list"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"lxfi/internal/caps"
 	"lxfi/internal/core"
@@ -10,18 +13,19 @@ import (
 	"lxfi/internal/mem"
 )
 
-type pageKey struct {
-	ino mem.Addr
-	idx uint64
-}
-
-// lruEntry is one evictable page on the LRU list: its key and the
-// mount that cached it, which is the mount eviction must lock. Inode
-// memory is never consulted for that: another thread may be freeing
-// the inode under its own mount's lock.
-type lruEntry struct {
-	key pageKey
-	mnt *mount
+// cachedPage is one page-cache entry: the page, the mount that cached
+// it, and its writeback and LRU state. mnt is the operation's own mount
+// at insert time and never changes; no page-cache decision consults
+// inode or superblock memory for it, because the module can write both.
+// Every field but ino, idx, pg and mnt is guarded by VFS.pageMu.
+type cachedPage struct {
+	ino   mem.Addr
+	idx   uint64
+	pg    mem.Addr
+	mnt   *mount
+	dirty bool
+	tick  uint64        // flusher tick at which the page was last dirtied
+	lru   *list.Element // nil on memory-only mounts
 }
 
 // SetPageBudget caps the number of cached pages (0 = unlimited).
@@ -35,13 +39,6 @@ func (v *VFS) SetPageBudget(n int) {
 	v.pageBudget = n
 }
 
-// PageBudget returns the configured page-cache budget (0 = unlimited).
-func (v *VFS) PageBudget() int {
-	v.pageMu.Lock()
-	defer v.pageMu.Unlock()
-	return v.pageBudget
-}
-
 // ShrinkToBudget applies the page budget to the cache as it stands —
 // the explicit memory-pressure edge of the policy that otherwise runs
 // on every insert. Dirty victims go through writeback, so the caller's
@@ -49,40 +46,61 @@ func (v *VFS) PageBudget() int {
 // lock (victim mounts are locked as needed).
 func (v *VFS) ShrinkToBudget(t *core.Thread) { v.evictForBudget(t, nil, nil) }
 
-// touchPage marks a page most-recently used. Caller holds pageMu.
-func (v *VFS) touchPage(key pageKey) {
-	if e, ok := v.lruPos[key]; ok {
-		v.lru.MoveToBack(e)
-	}
-}
-
-// insertPage records a fresh page in the cache and, unless the mount
-// is memory-only, on the LRU list, then applies the budget. Caller
-// holds holder.mu but not pageMu.
-func (v *VFS) insertPage(t *core.Thread, holder *mount, key pageKey, pg mem.Addr) {
+// insertPage records a fresh page of holder in the cache and, unless
+// the mount is memory-only, on the LRU list, then applies the budget.
+// Caller holds holder.mu but not pageMu.
+func (v *VFS) insertPage(t *core.Thread, holder *mount, ino mem.Addr, idx uint64, pg mem.Addr) *cachedPage {
+	p := &cachedPage{ino: ino, idx: idx, pg: pg, mnt: holder}
 	v.pageMu.Lock()
-	v.pages[key] = pg
+	byIdx := v.pages[ino]
+	if byIdx == nil {
+		byIdx = make(map[uint64]*cachedPage)
+		v.pages[ino] = byIdx
+	}
+	byIdx[idx] = p
+	v.nPages++
 	if !holder.memOnly {
-		v.lruPos[key] = v.lru.PushBack(lruEntry{key, holder})
+		p.lru = v.lru.PushBack(p)
 	}
 	v.pageMu.Unlock()
-	v.evictForBudget(t, holder, &key)
+	v.evictForBudget(t, holder, p)
+	return p
 }
 
-// removePageLocked frees a cached page and drops every index entry for
-// it. Caller holds pageMu.
-func (v *VFS) removePageLocked(key pageKey) {
-	pg, ok := v.pages[key]
-	if !ok {
-		return
+// markDirty records a write to p. Caller holds p.mnt.mu.
+func (v *VFS) markDirty(p *cachedPage) {
+	v.pageMu.Lock()
+	defer v.pageMu.Unlock()
+	if !p.dirty {
+		p.dirty = true
+		p.mnt.dirty[p] = struct{}{}
+		v.nDirty++
 	}
-	_ = v.K.Sys.Slab.Free(pg)
-	delete(v.pages, key)
-	delete(v.dirty, key)
-	delete(v.dirtyTick, key)
-	if e, ok := v.lruPos[key]; ok {
-		v.lru.Remove(e)
-		delete(v.lruPos, key)
+	p.tick = v.flushTick.Load()
+}
+
+// cleanLocked clears p's dirty state. Caller holds pageMu.
+func (v *VFS) cleanLocked(p *cachedPage) {
+	if p.dirty {
+		p.dirty = false
+		delete(p.mnt.dirty, p)
+		v.nDirty--
+	}
+}
+
+// removePageLocked frees a cached page and drops it from the index, its
+// mount's dirty set and the LRU. Caller holds pageMu.
+func (v *VFS) removePageLocked(p *cachedPage) {
+	_ = v.K.Sys.Slab.Free(p.pg)
+	byIdx := v.pages[p.ino]
+	delete(byIdx, p.idx)
+	if len(byIdx) == 0 {
+		delete(v.pages, p.ino)
+	}
+	v.nPages--
+	v.cleanLocked(p)
+	if p.lru != nil {
+		v.lru.Remove(p.lru)
 	}
 }
 
@@ -91,16 +109,16 @@ func (v *VFS) removePageLocked(key pageKey) {
 // is still using: it is never a victim, even when another thread's
 // insert has since pushed it off the LRU tail. Memory-only pages are
 // not on the LRU at all. A victim that refuses eviction (writeback
-// failed, or its mount is busy on another thread or unmounted) rotates
-// to the MRU end, and a pass gives up after as many attempts as the
-// LRU held at its start — so the cache can exceed the budget when
-// nothing evictable remains. holder is the mount whose lock the
-// calling thread already holds (nil when none).
-func (v *VFS) evictForBudget(t *core.Thread, holder *mount, keep *pageKey) {
+// failed, or its mount is busy on another thread) rotates to the MRU
+// end, and a pass gives up after as many attempts as the LRU held at
+// its start — so the cache can exceed the budget when nothing
+// evictable remains. holder is the mount whose lock the calling thread
+// already holds (nil when none).
+func (v *VFS) evictForBudget(t *core.Thread, holder *mount, keep *cachedPage) {
 	attempts := -1 // set from the LRU length once the cache is over budget
 	for {
 		v.pageMu.Lock()
-		if v.pageBudget <= 0 || len(v.pages) <= v.pageBudget {
+		if v.pageBudget <= 0 || v.nPages <= v.pageBudget {
 			v.pageMu.Unlock()
 			return
 		}
@@ -108,7 +126,7 @@ func (v *VFS) evictForBudget(t *core.Thread, holder *mount, keep *pageKey) {
 			attempts = v.lru.Len()
 		}
 		e := v.lru.Front()
-		if e != nil && keep != nil && e.Value.(lruEntry).key == *keep {
+		if e != nil && keep != nil && e == keep.lru {
 			e = e.Next()
 		}
 		if e == nil || attempts == 0 {
@@ -116,11 +134,11 @@ func (v *VFS) evictForBudget(t *core.Thread, holder *mount, keep *pageKey) {
 			return // nothing evictable remains this pass
 		}
 		attempts--
-		victim := e.Value.(lruEntry)
+		victim := e.Value.(*cachedPage)
 		v.pageMu.Unlock()
-		if !v.evictPage(t, holder, victim.mnt, victim.key) {
+		if !v.evictPage(t, holder, victim) {
 			v.pageMu.Lock()
-			v.touchPage(victim.key)
+			v.lru.MoveToBack(victim.lru) // no-op once the victim is gone
 			v.pageMu.Unlock()
 		}
 	}
@@ -130,88 +148,92 @@ func (v *VFS) evictForBudget(t *core.Thread, holder *mount, keep *pageKey) {
 // the owning module's writepage first (the REF-capability crossing), so
 // eviction under enforcement exercises the same contract as Sync.
 // Returns false if the page must stay (dead module, failed writeback,
-// or the owning mount mnt is busy on another thread or unmounted).
-// Caller holds holder.mu (when holder != nil) and not pageMu.
-func (v *VFS) evictPage(t *core.Thread, holder, mnt *mount, key pageKey) bool {
+// or its mount busy on another thread). Caller holds holder.mu (when
+// holder != nil) and not pageMu.
+func (v *VFS) evictPage(t *core.Thread, holder *mount, p *cachedPage) bool {
 	// Evicting another mount's page needs that mount's lock. TryLock
 	// keeps the lock order acyclic: a thread never *blocks* on a second
 	// mount lock, so two mounts evicting each other's pages cannot
-	// deadlock — one of them just skips the victim.
-	if mnt != holder {
+	// deadlock — one of them just skips the victim. Unmount drops the
+	// mount's pages under this lock, so a victim still cached below is
+	// never one of an unmounted mount.
+	if mnt := p.mnt; mnt != holder {
 		if !mnt.mu.TryLock() {
 			return false
 		}
 		defer mnt.mu.Unlock()
 	}
-	if mnt.dead {
-		return false
-	}
 	v.pageMu.Lock()
-	pg, cached := v.pages[key]
-	dirty := v.dirty[key]
+	cached, dirty := v.pages[p.ino][p.idx] == p, p.dirty
 	v.pageMu.Unlock()
 	if !cached {
 		return true // already gone
 	}
 	if dirty {
-		if ok, _ := v.writeBackPage(t, mnt, key, pg); !ok {
+		if ok, _ := v.writeBackPage(t, p); !ok {
 			return false // stays dirty; Sync (or a later pass) retries
 		}
 		v.Stats.EvictWrites.Add(1)
-		mnt.wbForced.Add(1)
+		p.mnt.wbForced.Add(1)
 	}
 	v.pageMu.Lock()
 	defer v.pageMu.Unlock()
-	if cur, ok := v.pages[key]; !ok || cur != pg || v.dirty[key] {
-		// Redirtied or replaced while we crossed; not our victim anymore.
+	if v.pages[p.ino][p.idx] != p || p.dirty {
+		// Dropped or redirtied while we crossed; not our victim anymore.
 		return false
 	}
-	v.removePageLocked(key)
+	v.removePageLocked(p)
 	v.Stats.Evictions.Add(1)
 	return true
 }
 
-// writeBackPage pushes one dirty page through the owning module's
-// writepage and clears the dirty bit on success. Caller holds mnt.mu
-// but not pageMu.
-func (v *VFS) writeBackPage(t *core.Thread, mnt *mount, key pageKey, pg mem.Addr) (bool, error) {
+// writeBackPage pushes one dirty page through its mount's writepage and
+// clears the dirty bit on success. Caller holds p.mnt.mu but not
+// pageMu.
+func (v *VFS) writeBackPage(t *core.Thread, p *cachedPage) (bool, error) {
+	mnt := p.mnt
 	v.Stats.PageWrites.Add(1)
 	ret, err := v.gWritePage.Call(t, v.OpsSlot(mnt.fs.ops, "writepage"),
-		uint64(mnt.sb), uint64(key.ino), key.idx, uint64(pg))
+		uint64(mnt.sb), uint64(p.ino), p.idx, uint64(p.pg))
 	if err == nil && ret != 0 {
-		err = fmt.Errorf("vfs: writepage(%#x, %d): errno %d", uint64(key.ino), key.idx, -int64(ret))
+		err = fmt.Errorf("vfs: writepage(%#x, %d): errno %d", uint64(p.ino), p.idx, -int64(ret))
 	}
 	if err != nil {
 		return false, err
 	}
 	mnt.wbFlushed.Add(1)
 	v.pageMu.Lock()
-	if cur, ok := v.pages[key]; ok && cur == pg {
-		delete(v.dirty, key)
-		delete(v.dirtyTick, key)
-	}
+	v.cleanLocked(p)
 	v.pageMu.Unlock()
 	return true, nil
 }
 
-// getPage returns the cached page for (inode, idx), filling a fresh one
-// through the module's readpage callback on a miss. Ownership of the
-// page travels with the call: WRITE transfers to the mount's principal
-// on entry and back to the kernel on successful return. Caller holds
+// getPage returns the cached page for (inode, idx), marked
+// most-recently used. On a miss it fills a fresh page through the
+// module's readpage callback or, when whole is set (a write covering
+// the entire page, whose old contents are dead on arrival), installs it
+// zeroed without consulting the module. Ownership of a filled page
+// travels with the call: WRITE transfers to the mount's principal on
+// entry and back to the kernel on successful return. Caller holds
 // mnt.mu, which is what keeps two fills of the same page from racing.
-func (v *VFS) getPage(t *core.Thread, mnt *mount, ino mem.Addr, idx uint64) (mem.Addr, error) {
-	key := pageKey{ino, idx}
+func (v *VFS) getPage(t *core.Thread, mnt *mount, ino mem.Addr, idx uint64, whole bool) (*cachedPage, error) {
 	v.pageMu.Lock()
-	if pg, ok := v.pages[key]; ok {
-		v.touchPage(key)
-		v.pageMu.Unlock()
-		return pg, nil
+	p := v.pages[ino][idx]
+	if p != nil && p.lru != nil {
+		v.lru.MoveToBack(p.lru)
 	}
 	v.pageMu.Unlock()
+	if p != nil {
+		return p, nil
+	}
 	sys := v.K.Sys
 	pg, err := sys.Slab.Alloc(mem.PageSize)
 	if err != nil {
-		return 0, err
+		return nil, err
+	}
+	if whole {
+		must(sys.AS.Zero(pg, mem.PageSize))
+		return v.insertPage(t, mnt, ino, idx, pg), nil
 	}
 	v.Stats.PageFills.Add(1)
 	ret, err := v.gReadPage.Call(t, v.OpsSlot(mnt.fs.ops, "readpage"),
@@ -225,31 +247,9 @@ func (v *VFS) getPage(t *core.Thread, mnt *mount, ino mem.Addr, idx uint64) (mem
 		if err == nil {
 			err = fmt.Errorf("vfs: readpage(%#x, %d): errno %d", uint64(ino), idx, -int64(ret))
 		}
-		return 0, err
+		return nil, err
 	}
-	v.insertPage(t, mnt, key, pg)
-	return pg, nil
-}
-
-// allocPage returns the cached page for (inode, idx), or installs a
-// fresh zeroed one without consulting the module — for writes that
-// cover the entire page. Caller holds mnt.mu.
-func (v *VFS) allocPage(t *core.Thread, mnt *mount, ino mem.Addr, idx uint64) (mem.Addr, error) {
-	key := pageKey{ino, idx}
-	v.pageMu.Lock()
-	if pg, ok := v.pages[key]; ok {
-		v.touchPage(key)
-		v.pageMu.Unlock()
-		return pg, nil
-	}
-	v.pageMu.Unlock()
-	pg, err := v.K.Sys.Slab.Alloc(mem.PageSize)
-	if err != nil {
-		return 0, err
-	}
-	must(v.K.Sys.AS.Zero(pg, mem.PageSize))
-	v.insertPage(t, mnt, key, pg)
-	return pg, nil
+	return v.insertPage(t, mnt, ino, idx, pg), nil
 }
 
 // Read copies n bytes starting at off out of the file's page cache,
@@ -283,11 +283,11 @@ func (v *VFS) Read(t *core.Thread, sb mem.Addr, path string, off, n uint64) (_ [
 		if rem := n - done; chunk > rem {
 			chunk = rem
 		}
-		pg, err := v.getPage(t, mnt, d.inode, idx)
+		p, err := v.getPage(t, mnt, d.inode, idx, false)
 		if err != nil {
 			return nil, err
 		}
-		if err := as.Read(pg+mem.Addr(po), out[done:done+chunk]); err != nil {
+		if err := as.Read(p.pg+mem.Addr(po), out[done:done+chunk]); err != nil {
 			return nil, err
 		}
 		done += chunk
@@ -329,22 +329,14 @@ func (v *VFS) Write(t *core.Thread, sb mem.Addr, path string, off uint64, data [
 		if rem := n - done; chunk > rem {
 			chunk = rem
 		}
-		var pg mem.Addr
-		if chunk == mem.PageSize {
-			pg, err = v.allocPage(t, mnt, d.inode, idx)
-		} else {
-			pg, err = v.getPage(t, mnt, d.inode, idx)
-		}
+		p, err := v.getPage(t, mnt, d.inode, idx, chunk == mem.PageSize)
 		if err != nil {
 			return done, err
 		}
-		if err := as.Write(pg+mem.Addr(po), data[done:done+chunk]); err != nil {
+		if err := as.Write(p.pg+mem.Addr(po), data[done:done+chunk]); err != nil {
 			return done, err
 		}
-		v.pageMu.Lock()
-		v.dirty[pageKey{d.inode, idx}] = true
-		v.dirtyTick[pageKey{d.inode, idx}] = v.flushTick.Load()
-		v.pageMu.Unlock()
+		v.markDirty(p)
 		done += chunk
 	}
 	if size, _ := as.ReadU64(v.InodeField(d.inode, "size")); off+n > size {
@@ -354,28 +346,21 @@ func (v *VFS) Write(t *core.Thread, sb mem.Addr, path string, off uint64, data [
 	return n, nil
 }
 
-// dirtyKeysOf collects the mount's dirty pages, sorted for stable
-// writeback order.
-func (v *VFS) dirtyKeysOf(sb mem.Addr, aged bool, tick uint64) []pageKey {
-	as := v.K.Sys.AS
+// dirtyPagesOf collects the mount's pages dirtied before tick, sorted
+// by (inode, index) for a stable writeback order. Caller holds mnt.mu.
+func (v *VFS) dirtyPagesOf(mnt *mount, before uint64) []*cachedPage {
 	v.pageMu.Lock()
-	var keys []pageKey
-	for key := range v.dirty {
-		if aged && v.dirtyTick[key] >= tick {
-			continue
-		}
-		if owner, _ := as.ReadU64(v.InodeField(key.ino, "sb")); mem.Addr(owner) == sb {
-			keys = append(keys, key)
+	out := make([]*cachedPage, 0, len(mnt.dirty))
+	for p := range mnt.dirty {
+		if p.tick < before {
+			out = append(out, p)
 		}
 	}
 	v.pageMu.Unlock()
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].ino != keys[j].ino {
-			return keys[i].ino < keys[j].ino
-		}
-		return keys[i].idx < keys[j].idx
+	slices.SortFunc(out, func(a, b *cachedPage) int {
+		return cmp.Or(cmp.Compare(a.ino, b.ino), cmp.Compare(a.idx, b.idx))
 	})
-	return keys
+	return out
 }
 
 // syncLocked writes the given dirty pages back through the module's
@@ -383,17 +368,16 @@ func (v *VFS) dirtyKeysOf(sb mem.Addr, aged bool, tick uint64) []pageKey {
 // dirty, but the pass continues: one bad page must not block the
 // persistence of every page sorting after it. The first error is
 // reported.
-func (v *VFS) syncLocked(t *core.Thread, mnt *mount, keys []pageKey) error {
+func (v *VFS) syncLocked(t *core.Thread, pages []*cachedPage) error {
 	var firstErr error
-	for _, key := range keys {
+	for _, p := range pages {
 		v.pageMu.Lock()
-		pg, ok := v.pages[key]
-		dirty := v.dirty[key]
+		dirty := p.dirty
 		v.pageMu.Unlock()
-		if !ok || !dirty {
-			continue // evicted or cleaned while we flushed its neighbors
+		if !dirty {
+			continue // dropped or cleaned while we flushed its neighbors
 		}
-		if _, err := v.writeBackPage(t, mnt, key, pg); err != nil && firstErr == nil {
+		if _, err := v.writeBackPage(t, p); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -410,48 +394,49 @@ func (v *VFS) Sync(t *core.Thread, sb mem.Addr) (rerr error) {
 		return err
 	}
 	defer mnt.mu.Unlock()
-	return v.syncLocked(t, mnt, v.dirtyKeysOf(sb, false, 0))
+	return v.syncLocked(t, v.dirtyPagesOf(mnt, math.MaxUint64))
 }
 
 // DropCaches evicts every clean page of the mount (sync first to evict
 // everything), so the next read refills from the module — the cold-read
-// path fsperf measures. Memory-only mounts (SBMemOnly) are never
-// evicted: their page cache is the only copy of the data, and a no-op
-// writepage having cleared the dirty bit does not change that.
+// path fsperf measures. Memory-only mounts are never evicted: their
+// page cache is the only copy of the data, and a no-op writepage having
+// cleared the dirty bit does not change that.
 func (v *VFS) DropCaches(sb mem.Addr) int {
 	mnt, err := v.lockMount(sb)
 	if err != nil {
 		return 0
 	}
 	defer mnt.mu.Unlock()
-	as := v.K.Sys.AS
-	if flags, _ := as.ReadU64(v.SBField(sb, "flags")); flags&SBMemOnly != 0 {
+	if mnt.memOnly {
 		return 0
 	}
+	return v.dropMountPages(mnt, false)
+}
+
+// dropMountPages frees the pages mnt cached, the dirty ones too when
+// all is set, and returns how many it freed. Caller holds mnt.mu.
+func (v *VFS) dropMountPages(mnt *mount, all bool) int {
 	v.pageMu.Lock()
 	defer v.pageMu.Unlock()
 	dropped := 0
-	for key := range v.pages {
-		if v.dirty[key] {
-			continue
+	for _, byIdx := range v.pages {
+		for _, p := range byIdx {
+			if p.mnt == mnt && (all || !p.dirty) {
+				v.removePageLocked(p)
+				dropped++
+			}
 		}
-		if owner, _ := as.ReadU64(v.InodeField(key.ino, "sb")); mem.Addr(owner) != sb {
-			continue
-		}
-		v.removePageLocked(key)
-		dropped++
 	}
 	return dropped
 }
 
-// dropPagesOf evicts every page (dirty or not) of a dying inode.
-func (v *VFS) dropPagesOf(ino mem.Addr) {
+// dropInodePages frees every page (dirty or not) of a dying inode.
+func (v *VFS) dropInodePages(ino mem.Addr) {
 	v.pageMu.Lock()
 	defer v.pageMu.Unlock()
-	for key := range v.pages {
-		if key.ino == ino {
-			v.removePageLocked(key)
-		}
+	for _, p := range v.pages[ino] {
+		v.removePageLocked(p)
 	}
 }
 
@@ -460,8 +445,10 @@ func (v *VFS) dropPagesOf(ino mem.Addr) {
 func (v *VFS) PageAddr(ino mem.Addr, idx uint64) (mem.Addr, bool) {
 	v.pageMu.Lock()
 	defer v.pageMu.Unlock()
-	pg, ok := v.pages[pageKey{ino, idx}]
-	return pg, ok
+	if p := v.pages[ino][idx]; p != nil {
+		return p.pg, true
+	}
+	return 0, false
 }
 
 // CachedPage is one page-cache entry as coredump snapshots see it.
@@ -477,17 +464,16 @@ type CachedPage struct {
 // — so it is safe even from a violation hook that fires mid-crossing.
 func (v *VFS) DumpPages() ([]CachedPage, int) {
 	v.pageMu.Lock()
-	out := make([]CachedPage, 0, len(v.pages))
-	for key, pg := range v.pages {
-		out = append(out, CachedPage{Ino: key.ino, Idx: key.idx, Page: pg, Dirty: v.dirty[key]})
-	}
-	dirty := len(v.dirty)
-	v.pageMu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Ino != out[j].Ino {
-			return out[i].Ino < out[j].Ino
+	out := make([]CachedPage, 0, v.nPages)
+	for _, byIdx := range v.pages {
+		for _, p := range byIdx {
+			out = append(out, CachedPage{Ino: p.ino, Idx: p.idx, Page: p.pg, Dirty: p.dirty})
 		}
-		return out[i].Idx < out[j].Idx
+	}
+	dirty := v.nDirty
+	v.pageMu.Unlock()
+	slices.SortFunc(out, func(a, b CachedPage) int {
+		return cmp.Or(cmp.Compare(a.Ino, b.Ino), cmp.Compare(a.Idx, b.Idx))
 	})
 	return out, dirty
 }
@@ -496,14 +482,14 @@ func (v *VFS) DumpPages() ([]CachedPage, int) {
 func (v *VFS) PageCount() int {
 	v.pageMu.Lock()
 	defer v.pageMu.Unlock()
-	return len(v.pages)
+	return v.nPages
 }
 
 // DirtyCount returns the number of dirty cached pages.
 func (v *VFS) DirtyCount() int {
 	v.pageMu.Lock()
 	defer v.pageMu.Unlock()
-	return len(v.dirty)
+	return v.nDirty
 }
 
 // WritebackStats is one mount's writeback activity.

@@ -126,8 +126,13 @@ type mount struct {
 	dead bool // set by Unmount; operations that lost the race fail
 
 	// memOnly snapshots SBMemOnly as the module's mount callback left
-	// it. Pages of a memory-only mount never enter the eviction LRU.
+	// it; the page cache reads only this copy, never the module-writable
+	// flag. Memory-only pages never enter the eviction LRU.
 	memOnly bool
+
+	// dirty is the set of this mount's dirty cached pages, which Sync
+	// and the flusher write back. Guarded by VFS.pageMu, not mu.
+	dirty map[*cachedPage]struct{}
 
 	// dentries is this mount's dentry cache: one dnode per cached
 	// dentry, with children keyed by path component (the M-way-trie
@@ -174,27 +179,24 @@ type VFS struct {
 	filesystems map[uint64]*fstype
 	mounts      map[mem.Addr]*mount
 
-	// pageMu guards the page-cache index: pages, dirty, dirtyTick, the
-	// LRU list, and the budget. Page *contents* are copied under the
-	// owning mount's lock.
+	// pageMu guards the page cache: the index, every record's mutable
+	// state, each mount's dirty set, the LRU list, the counts and the
+	// budget. Page *contents* are copied under the owning mount's lock.
 	pageMu sync.Mutex
-	// pages is the page cache: (inode, page index) -> page base address.
-	pages map[pageKey]mem.Addr
-	dirty map[pageKey]bool
-	// dirtyTick records the flusher tick at which a page was last
-	// dirtied; the background flusher only writes back pages that have
-	// aged at least one full tick.
-	dirtyTick map[pageKey]uint64
+	// pages indexes the cache: inode -> page index -> the one record of
+	// that page, which names the mount that cached it. nPages counts the
+	// records and nDirty the dirty ones.
+	pages  map[mem.Addr]map[uint64]*cachedPage
+	nPages int
+	nDirty int
 
-	// lru orders the evictable cached pages least- to most-recently
-	// used; lruPos indexes the list elements by page key. Pages of
-	// memory-only mounts stay off the list (the unevictable list in its
-	// simplest form), so victim selection never walks past them.
-	// pageBudget caps the cache size (0 = unlimited) and counts every
-	// cached page, on the list or not: inserting past the budget evicts
-	// from the LRU end, forcing writeback for dirty victims.
+	// lru orders the evictable records least- to most-recently used.
+	// Pages of memory-only mounts stay off the list (the unevictable
+	// list in its simplest form), so victim selection never walks past
+	// them. pageBudget caps the cache size (0 = unlimited) and counts
+	// every cached page, on the list or not: inserting past the budget
+	// evicts from the LRU end, forcing writeback for dirty victims.
 	lru        *list.List
-	lruPos     map[pageKey]*list.Element
 	pageBudget int
 
 	// Bound indirect-call gates, one per fs_operations slot: resolved
@@ -236,11 +238,8 @@ func Init(k *kernel.Kernel, bl *blockdev.Layer) *VFS {
 		Block:       bl,
 		filesystems: make(map[uint64]*fstype),
 		mounts:      make(map[mem.Addr]*mount),
-		pages:       make(map[pageKey]mem.Addr),
-		dirty:       make(map[pageKey]bool),
-		dirtyTick:   make(map[pageKey]uint64),
+		pages:       make(map[mem.Addr]map[uint64]*cachedPage),
 		lru:         list.New(),
-		lruPos:      make(map[pageKey]*list.Element),
 		flushKick:   make(chan struct{}, 1),
 	}
 	sys := k.Sys
@@ -472,7 +471,7 @@ func (v *VFS) registerExports() {
 			if ino == 0 {
 				return 0
 			}
-			v.dropPagesOf(ino)
+			v.dropInodePages(ino)
 			_ = sys.Slab.Free(ino)
 			return 0
 		})
@@ -623,6 +622,7 @@ func (v *VFS) Mount(t *core.Thread, fsid, dev uint64) (_ mem.Addr, rerr error) {
 	mnt := &mount{
 		fs: ft, sb: sb, dev: dev,
 		memOnly:  flags&SBMemOnly != 0,
+		dirty:    make(map[*cachedPage]struct{}),
 		dentries: make(map[mem.Addr]*dnode),
 		nameBuf:  sys.Statics.Alloc(NameMax+1, 8),
 		dirBuf:   sys.Statics.Alloc(NameMax+1, 8),
@@ -660,12 +660,14 @@ func (v *VFS) Unmount(t *core.Thread, sb mem.Addr) error {
 	v.mu.Lock()
 	delete(v.mounts, sb)
 	v.mu.Unlock()
+	// Pages go by their records' mount, before any inode is freed: an
+	// inode address kill_sb released may already be another mount's.
+	v.dropMountPages(mnt, true)
 	sys := v.K.Sys
 	// Reclaim whatever the module did not release itself. Inodes it
 	// already iput are gone from the slab; the double free is ignored.
 	for d, n := range mnt.dentries {
 		if n.inode != 0 {
-			v.dropPagesOf(n.inode)
 			_ = sys.Slab.Free(n.inode)
 		}
 		_ = sys.Slab.Free(d)

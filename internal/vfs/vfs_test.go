@@ -3,6 +3,7 @@ package vfs_test
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"lxfi/internal/blockdev"
@@ -242,9 +243,156 @@ func TestUnmountReclaims(t *testing.T) {
 		t.Fatal("module died during a clean unmount")
 	}
 	// The filesystem can be mounted again.
-	if _, err := r.v.Mount(r.th, tmpfssim.FsID, 0); err != nil {
+	sb, err = r.v.Mount(r.th, tmpfssim.FsID, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
+
+	// Unmounting beside a live minixsim mount reclaims only the
+	// unmounted mount's pages: the other mount's pages, dirty bits and
+	// contents survive.
+	if _, err := minixsim.Load(r.th, r.k, r.v); err != nil {
+		t.Fatal(err)
+	}
+	r.bl.AddDisk(1, minixsim.DiskSectors)
+	minix, err := r.v.Mount(r.th, minixsim.FsID, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{
+		"/clean": bytes.Repeat([]byte{0xC1}, 2*mem.PageSize),
+		"/dirty": bytes.Repeat([]byte{0xD1}, mem.PageSize+100),
+	}
+	for _, p := range []string{"/clean", "/dirty"} {
+		if _, err := r.v.Create(r.th, minix, p); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.v.Write(r.th, minix, p, 0, files[p]); err != nil {
+			t.Fatal(err)
+		}
+		if p == "/clean" {
+			if err := r.v.Sync(r.th, minix); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	minixPages, minixDirty := r.v.DumpPages()
+	if minixDirty != 2 || len(minixPages) != 4 {
+		t.Fatalf("minix cache: %d pages, %d dirty; want 4, 2", len(minixPages), minixDirty)
+	}
+	for _, p := range []string{"/a", "/b"} {
+		if _, err := r.v.Create(r.th, sb, p); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.v.Write(r.th, sb, p, 0, bytes.Repeat([]byte("t"), 2*mem.PageSize)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.v.Unmount(r.th, sb); err != nil {
+		t.Fatal(err)
+	}
+	if n := r.v.PageCount(); n != len(minixPages) {
+		t.Fatalf("%d pages after the tmpfs unmount, want the %d minix pages", n, len(minixPages))
+	}
+	if pages, dirty := r.v.DumpPages(); dirty != minixDirty || !reflect.DeepEqual(pages, minixPages) {
+		t.Fatalf("minix cache changed across the tmpfs unmount:\n got %v (%d dirty)\nwant %v (%d dirty)",
+			pages, dirty, minixPages, minixDirty)
+	}
+	for p, want := range files {
+		if got, err := r.v.Read(r.th, minix, p, 0, uint64(len(want))); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("minix %s read back wrong after the tmpfs unmount (%v)", p, err)
+		}
+	}
+	r.noViolations(t)
+}
+
+// TestPageOwnerIgnoresModuleFields: the page cache decides which mount
+// owns a page, and whether a mount is memory-only, from its own records.
+// A module holds WRITE on its inodes (iget's transfer) and on its
+// superblock (mount's copy), so rewriting an inode's sb or clearing
+// SBMemOnly is a scribble enforcement allows; neither may move a dirty
+// page to another mount's writeback nor expose memory-only pages to
+// DropCaches.
+func TestPageOwnerIgnoresModuleFields(t *testing.T) {
+	r := newRig(t, core.Enforce)
+	tfs, err := tmpfssim.Load(r.th, r.k, r.v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mfs, err := minixsim.Load(r.th, r.k, r.v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmp, err := r.v.Mount(r.th, tmpfssim.FsID, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.bl.AddDisk(1, minixsim.DiskSectors)
+	minix, err := r.v.Mount(r.th, minixsim.FsID, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	as := r.k.Sys.AS
+	// scribble writes val at addr after checking that the mount's
+	// instance principal could have written it itself.
+	scribble := func(m *core.Module, sb, addr mem.Addr, val uint64) {
+		t.Helper()
+		prin, ok := m.Set.Lookup(sb)
+		if !ok || !r.k.Sys.Caps.Check(prin, caps.WriteCap(addr, 8)) {
+			t.Fatalf("%s's principal holds no WRITE on %#x", m.Name, uint64(addr))
+		}
+		if err := as.WriteU64(addr, val); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("inode sb", func(t *testing.T) {
+		ino, err := r.v.Create(r.th, minix, "/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.v.Write(r.th, minix, "/f", 0, []byte("must reach the disk")); err != nil {
+			t.Fatal(err)
+		}
+		scribble(mfs.M, minix, r.v.InodeField(ino, "sb"), uint64(tmp))
+		if err := r.v.Sync(r.th, tmp); err != nil {
+			t.Fatal(err)
+		}
+		if n := r.v.DirtyCount(); n != 1 {
+			t.Fatalf("Sync(tmpfs) cleaned the minix page: %d dirty, want 1", n)
+		}
+		_, before := r.bl.SectorIO()
+		if err := r.v.Sync(r.th, minix); err != nil {
+			t.Fatal(err)
+		}
+		if _, after := r.bl.SectorIO(); after == before {
+			t.Fatal("Sync(minix) wrote no sectors")
+		}
+		if n := r.v.DirtyCount(); n != 0 {
+			t.Fatalf("dirty pages after both syncs: %d", n)
+		}
+	})
+
+	t.Run("superblock flags", func(t *testing.T) {
+		data := bytes.Repeat([]byte{0x5A}, 2*mem.PageSize)
+		if _, err := r.v.Create(r.th, tmp, "/g"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.v.Write(r.th, tmp, "/g", 0, data); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.v.Sync(r.th, tmp); err != nil {
+			t.Fatal(err)
+		}
+		scribble(tfs.M, tmp, r.v.SBField(tmp, "flags"), 0)
+		if n := r.v.DropCaches(tmp); n != 0 {
+			t.Fatalf("DropCaches dropped %d memory-only pages", n)
+		}
+		got, err := r.v.Read(r.th, tmp, "/g", 0, uint64(len(data)))
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("tmpfs file read back wrong after DropCaches (%v)", err)
+		}
+	})
 	r.noViolations(t)
 }
 
